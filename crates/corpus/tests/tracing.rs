@@ -16,10 +16,25 @@
 //!    to the victim;
 //! 4. **inertness** — subscribing a collector does not change the Figure 8
 //!    table.
+//!
+//! A fifth test pins the solver's escalation sequence over the corpus, so a
+//! change to the solver's ladder that moves which queries escalate, or to
+//! which rung, shows up as a diff.
 
 use cp_corpus::pipeline::{figure8, run_all_with, DegradedReason, ScenarioStatus, SweepOptions};
 use cp_obs::{Collector, Event, TraceData};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises this file's sweeps.  The solver's verdict memo is
+/// process-wide, so a sweep running on another test thread would answer
+/// queries from the memo and change which of them escalate.
+fn serial() -> MutexGuard<'static, ()> {
+    static SWEEPS: Mutex<()> = Mutex::new(());
+    SWEEPS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Runs a full corpus sweep under a fresh collector.
 fn traced_sweep(options: SweepOptions) -> (String, TraceData) {
@@ -41,6 +56,7 @@ fn shapes(data: &TraceData) -> BTreeMap<&'static str, String> {
 
 #[test]
 fn every_stage_spans_and_every_span_is_attributed() {
+    let _serial = serial();
     let (_, data) = traced_sweep(SweepOptions::sequential());
 
     for stage in ["record", "discover", "translate", "plan", "validate"] {
@@ -88,6 +104,7 @@ fn every_stage_spans_and_every_span_is_attributed() {
 
 #[test]
 fn parallel_and_sequential_sweeps_trace_the_same_shapes() {
+    let _serial = serial();
     let (sequential_table, sequential) = traced_sweep(SweepOptions::sequential());
     let (parallel_table, parallel) = traced_sweep(SweepOptions::with_workers(4));
 
@@ -124,6 +141,7 @@ fn parallel_and_sequential_sweeps_trace_the_same_shapes() {
 
 #[test]
 fn an_injected_panic_still_flushes_spans_and_events() {
+    let _serial = serial();
     use cp_core::faults::{self, FaultPoint};
 
     let target = cp_corpus::scenarios()[0].name;
@@ -172,6 +190,7 @@ fn an_injected_panic_still_flushes_spans_and_events() {
 
 #[test]
 fn a_budget_trip_emits_a_typed_event_attributed_to_the_victim() {
+    let _serial = serial();
     use cp_core::faults::{self, FaultPoint};
 
     let target = cp_corpus::scenarios()[1].name;
@@ -195,6 +214,51 @@ fn a_budget_trip_emits_a_typed_event_attributed_to_the_victim() {
     assert!(
         trips.iter().any(|e| e.scenario.as_deref() == Some(target)),
         "vm budget trip not attributed to {target}"
+    );
+}
+
+#[test]
+fn corpus_escalation_sequence_is_pinned() {
+    // A cold memo and a sequential sweep make the sequence deterministic:
+    // every query that neither simplification nor the memo decides enters
+    // sampling, and the few sampling cannot decide enter the incremental
+    // bit-blast rung.  No corpus query needs the exhaustive rung.
+    let _serial = serial();
+    cp_solver::reset_solver_memo();
+    let (_, data) = traced_sweep(SweepOptions::sequential());
+    let escalations: Vec<(&str, &str, &str)> = data
+        .events
+        .iter()
+        .filter_map(|e| match &e.event {
+            Event::SolverEscalation { query, stage } => Some((
+                e.scenario.as_deref().unwrap_or("-"),
+                query.as_str(),
+                stage.as_str(),
+            )),
+            _ => None,
+        })
+        .collect();
+    let chunk = "chunk-table-overflow";
+    let image = "image-alloc-overflow";
+    let palette = "palette-oob-read";
+    assert_eq!(
+        escalations,
+        [
+            (chunk, "sat", "sampling"),
+            (chunk, "sat", "sampling"),
+            (chunk, "equiv", "sampling"),
+            (chunk, "equiv", "incremental"),
+            (chunk, "equiv", "sampling"),
+            (chunk, "equiv", "sampling"),
+            (image, "sat", "sampling"),
+            (image, "equiv", "sampling"),
+            (image, "equiv", "incremental"),
+            (image, "equiv", "sampling"),
+            (image, "equiv", "sampling"),
+            (image, "equiv", "sampling"),
+            (palette, "equiv", "sampling"),
+            (palette, "equiv", "incremental"),
+        ]
     );
 }
 
