@@ -124,13 +124,13 @@ pub enum Event {
         /// The normalized reason code (e.g. `"discovery-exhausted"`).
         reason: String,
     },
-    /// The solver escalated to the next rung of its ladder
-    /// (structural → sampling → bit-blast → exhaustive).
+    /// The solver escalated to the next rung of its ladder (simplify →
+    /// verdict memo → sampling → incremental bit-blast → exhaustive).
     SolverEscalation {
         /// Which query escalated (`"equiv"` or `"sat"`).
         query: String,
-        /// The rung being entered (`"sampling"`, `"bit-blast"`,
-        /// `"exhaustive"`).
+        /// The rung being entered: `"sampling"`, `"incremental"` (bit-blast
+        /// and CDCL on an incremental context) or `"exhaustive"`.
         stage: String,
     },
     /// Goal-directed discovery advanced to a new generation of flipped

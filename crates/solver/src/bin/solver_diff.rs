@@ -8,8 +8,9 @@
 //! ```
 //!
 //! `--incremental` routes every query through a shared incremental session
-//! (`cp_solver::incremental::EquivSession`) instead of the one-shot solver,
-//! auditing verdicts produced against reused AIG/CNF/learned-clause state.
+//! (`cp_solver::incremental::EquivSession`) instead of a single-query session
+//! per pair, auditing verdicts produced against reused AIG/CNF/learned-clause
+//! state.
 
 use cp_solver::differential::{cross_check, cross_check_incremental};
 

@@ -1,4 +1,4 @@
-//! Word-level bit-blasting: symbolic expressions → AIG → CNF → DPLL.
+//! Word-level bit-blasting: symbolic expressions → AIG → CNF → CDCL.
 //!
 //! This is the refutation-complete half of the solver: an equivalence query
 //! over two expressions becomes a *miter* — a single circuit asserting that
@@ -16,7 +16,7 @@
 //!   structurally similar operands share gates, and the common case of a
 //!   simplifier-rewritten expression against its original collapses the miter
 //!   to constant false before any SAT search happens.
-//! * **Tseitin CNF** over the cone of influence of the miter output.
+//! * **Tseitin CNF** of every gate, encoded once as the graph grows.
 //! * **CDCL** ([`Cdcl`]) — two-watched-literal unit propagation, first-UIP
 //!   clause learning with non-chronological backjumping, VSIDS-style
 //!   activities and phase saving, budgeted by a conflict limit so
@@ -27,18 +27,17 @@
 //! restoring-divider circuit — one trial subtraction per result bit —
 //! mirroring `cp_symexpr::eval`'s semantics exactly (division by zero yields
 //! all-ones, remainder by zero the dividend, `INT_MIN / -1` wraps).  Wide
-//! divider miters can exceed the gate budget, in which case the solver
-//! escalation in the crate root still falls back to exhaustive enumeration.
+//! divider miters can exceed the gate budget, in which case the solver's
+//! ladder still falls back to exhaustive enumeration.
 //!
-//! The [`Cdcl`] core also supports *incremental* use: clauses can be added
-//! between `solve_under_assumptions` calls, which keep the learned-clause
-//! database and VSIDS activities alive across queries and return an unsat
-//! core over the assumption literals on failure.  The [`crate::incremental`]
-//! module builds the session API on top.
+//! The [`Cdcl`] core is *incremental*: clauses can be added between
+//! `solve_under_assumptions` calls, which keep the learned-clause database
+//! and VSIDS activities alive across queries and return an unsat core over
+//! the assumption literals on failure.  [`crate::incremental`] owns the one
+//! context that drives both halves.
 
 use cp_symexpr::{BinOp, CastKind, ExprRef, SymExpr, UnOp};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 /// An AIG literal: `var << 1 | negated`.  Literal 0 is constant false,
 /// literal 1 constant true (variable 0 is reserved for the constant).
@@ -66,12 +65,12 @@ pub enum BlastError {
     GateBudget,
 }
 
-/// Resource limits for one equivalence query.
+/// Resource limits for one solver query.
 #[derive(Debug, Clone, Copy)]
 pub struct BlastLimits {
     /// Maximum number of AND gates in the miter.
     pub max_gates: usize,
-    /// Maximum DPLL conflicts before giving up.
+    /// Maximum CDCL conflicts before giving up.
     pub max_conflicts: u64,
 }
 
@@ -82,17 +81,6 @@ impl Default for BlastLimits {
             max_conflicts: 20_000,
         }
     }
-}
-
-/// The outcome of a miter check.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BlastOutcome {
-    /// The miter is unsatisfiable: the expressions agree on every input.
-    Unsat,
-    /// A satisfying model, decoded into input bytes on which they disagree.
-    Sat(Vec<(usize, u8)>),
-    /// The query was abandoned (unsupported operator or budget exceeded).
-    Abandoned(&'static str),
 }
 
 /// An and-inverter graph with structural hashing and constant folding.
@@ -183,32 +171,6 @@ impl Aig {
         let else_branch = self.and(negate(s), e)?;
         self.or(then_branch, else_branch)
     }
-
-    /// Clauses of the Tseitin encoding of the cone of influence of `root`,
-    /// plus the unit clause asserting `root`.
-    fn cnf_cone(&self, root: Lit) -> Vec<Vec<Lit>> {
-        let mut clauses = Vec::new();
-        let mut marked = vec![false; self.n_vars()];
-        let mut stack = vec![var_of(root)];
-        while let Some(var) = stack.pop() {
-            if var == 0 || marked[var as usize] {
-                continue;
-            }
-            marked[var as usize] = true;
-            let Some((a, b)) = self.nodes[(var - 1) as usize] else {
-                continue; // input variable: no defining clauses
-            };
-            let g = var << 1;
-            // g ↔ a ∧ b.
-            clauses.push(vec![negate(g), a]);
-            clauses.push(vec![negate(g), b]);
-            clauses.push(vec![g, negate(a), negate(b)]);
-            stack.push(var_of(a));
-            stack.push(var_of(b));
-        }
-        clauses.push(vec![root]);
-        clauses
-    }
 }
 
 fn const_bits(n: usize, value: u64) -> Vec<Lit> {
@@ -238,11 +200,10 @@ fn invert(bits: &[Lit]) -> Vec<Lit> {
 
 /// Bit-blasts expressions into a shared AIG.
 ///
-/// A one-shot query builds one `Blaster`, blasts, decides and drops it; an
-/// incremental session ([`crate::incremental`]) keeps one alive across many
-/// queries so structurally shared cones keep their gates (and the CDCL built
-/// on top keeps its learned clauses).  `begin_query` resets the per-query
-/// gate budget without discarding anything already built.
+/// An incremental context ([`crate::incremental`]) keeps one alive across
+/// its queries so structurally shared cones keep their gates (and the CDCL
+/// built on top keeps its learned clauses).  `begin_query` resets the
+/// per-query gate budget without discarding anything already built.
 pub(crate) struct Blaster {
     aig: Aig,
     /// Input byte offset → first of its eight consecutive input variables.
@@ -252,18 +213,14 @@ pub(crate) struct Blaster {
 }
 
 impl Blaster {
-    /// Allocates eight input variables per distinct support offset up front
-    /// (further offsets are added on demand as expressions mention them).
-    pub(crate) fn new(offsets: &[usize], max_gates: usize) -> Self {
-        let mut blaster = Blaster {
+    /// An empty graph; eight input variables per byte offset are added as
+    /// expressions first mention it.
+    pub(crate) fn new(max_gates: usize) -> Self {
+        Blaster {
             aig: Aig::new(max_gates),
             offset_var: HashMap::new(),
             memo: HashMap::new(),
-        };
-        for &off in offsets {
-            blaster.input_base(off);
         }
-        blaster
     }
 
     /// Starts a fresh query against the shared graph: everything already
@@ -319,10 +276,10 @@ impl Blaster {
     /// growing its variable space first; `encoded` is the caller's cursor
     /// (first variable not yet encoded), advanced to the new frontier.
     ///
-    /// Unlike the one-shot `cnf_cone` this encodes the *whole* graph — the
-    /// clauses are definitional truths about the circuit, so clauses for
-    /// gates outside any particular query's cone are sound, and an
-    /// incremental session keeps one growing CNF instead of re-walking cones.
+    /// This encodes the *whole* graph, not one query's cone: the clauses
+    /// are definitional truths about the circuit, so clauses for gates
+    /// outside a query's cone are sound, and the context keeps one growing
+    /// CNF instead of re-walking cones.
     pub(crate) fn encode_new_gates(&self, sat: &mut Cdcl, encoded: &mut u32) {
         let n_vars = self.aig.n_vars() as u32;
         sat.ensure_vars(n_vars as usize);
@@ -688,465 +645,6 @@ impl Blaster {
     }
 }
 
-/// Decides a single root literal over an already-built circuit: CNF of the
-/// cone of influence, CDCL search, and — on a model — projection of the
-/// satisfying assignment onto the input bytes.
-///
-/// Input variables outside the cone are unconstrained; they decode as zero,
-/// which is a valid completion of any partial model.
-fn decide_root(
-    blaster: &Blaster,
-    root: Lit,
-    offsets: &[usize],
-    limits: &BlastLimits,
-) -> BlastOutcome {
-    if root == LIT_FALSE {
-        return BlastOutcome::Unsat;
-    }
-    if root == LIT_TRUE {
-        // The circuit folded to constant true: every environment satisfies.
-        return BlastOutcome::Sat(offsets.iter().map(|&o| (o, 0)).collect());
-    }
-    let clauses = blaster.aig.cnf_cone(root);
-    let mut sat = Cdcl::new(blaster.aig.n_vars(), clauses);
-    match sat.solve(limits.max_conflicts) {
-        None => BlastOutcome::Abandoned("conflict budget"),
-        Some(false) => BlastOutcome::Unsat,
-        Some(true) => BlastOutcome::Sat(blaster.decode_model(&sat, offsets)),
-    }
-}
-
-pub(crate) fn abandon_reason(error: BlastError) -> &'static str {
-    match error {
-        BlastError::GateBudget => "gate budget",
-    }
-}
-
-/// A definitive verdict in the process-wide memo, stored positionally:
-/// `Sat` holds one byte per input *position* (the i-th entry is the value
-/// of the i-th offset in the query's sorted support), so a hit can be
-/// re-projected onto a different caller's byte offsets.
-#[derive(Debug, Clone)]
-enum CachedVerdict {
-    Unsat,
-    Sat(Vec<u8>),
-}
-
-/// Hit/miss counters for the process-wide verdict memo.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Queries answered from the memo.
-    pub hits: u64,
-    /// Queries that went to the decision procedure.
-    pub misses: u64,
-}
-
-impl MemoStats {
-    /// Fraction of decided queries served from the memo (0.0 when none ran).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Entry cap for the verdict memo; reaching it clears the table (the
-/// simplest O(1) eviction — a corpus sweep's working set is far smaller).
-const VERDICT_MEMO_CAP: usize = 1 << 16;
-
-static VERDICT_MEMO: OnceLock<Mutex<HashMap<(u64, u64), CachedVerdict>>> = OnceLock::new();
-
-fn verdict_memo() -> &'static Mutex<HashMap<(u64, u64), CachedVerdict>> {
-    VERDICT_MEMO.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The memo counters live in the `cp-obs` registry (`solver.memo.hit` /
-/// `solver.memo.miss`), so trace exports and BENCH.json read the same
-/// numbers [`memo_stats`] reports; the handles are cached so the hot probe
-/// path pays one relaxed atomic add, exactly as the old private statics did.
-fn memo_hit_counter() -> &'static cp_obs::metrics::Counter {
-    static HITS: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
-    HITS.get_or_init(|| cp_obs::metrics::counter("solver.memo.hit"))
-}
-
-fn memo_miss_counter() -> &'static cp_obs::metrics::Counter {
-    static MISSES: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
-    MISSES.get_or_init(|| cp_obs::metrics::counter("solver.memo.miss"))
-}
-
-/// Process-wide memo counters (shared by every thread's queries).
-pub fn memo_stats() -> MemoStats {
-    MemoStats {
-        hits: memo_hit_counter().get(),
-        misses: memo_miss_counter().get(),
-    }
-}
-
-/// Empties the verdict memo and zeroes its counters — for benchmarks and
-/// tests that need a cold start.
-pub fn reset_memo() {
-    let mut memo = verdict_memo().lock().unwrap_or_else(|p| p.into_inner());
-    memo.clear();
-    memo_hit_counter().reset();
-    memo_miss_counter().reset();
-}
-
-/// Positional structural hasher for query expression DAGs — the verdict-memo
-/// key, computed in one DAG walk with **no gate construction**.
-///
-/// The walk assigns each distinct node a dense first-visit id and mixes one
-/// record per node (a tag, the width, the operator, child ids) into two
-/// independent 64-bit FNV-style streams for a 128-bit key.  `InputByte`
-/// leaves (and `Field` byte offsets) are hashed as the *rank* of the offset
-/// in the query's sorted support, so the key describes a function of input
-/// positions and a donor check re-proved at different byte offsets still
-/// hits.  `Field` paths are excluded: the blasted function depends only on
-/// the byte decomposition, never on the label.
-///
-/// Equal keys mean positionally identical expression structure — strictly
-/// finer than the strashed-circuit equality an AIG hash would give, so a
-/// few cross-expression hits are lost, but the probe costs a walk of the
-/// (already simplified, hash-consed) DAG instead of a full miter build.
-/// That is what lets the escalation ladder consult the memo before paying
-/// for any AIG construction.
-struct ExprHasher {
-    h: [u64; 2],
-    /// Node memo key → dense first-visit id.  Node addresses are only
-    /// unique while the query holds its expressions alive, which a hasher
-    /// local to one query call trivially satisfies.
-    ids: HashMap<usize, u64>,
-    /// Input byte offset → rank in the query's sorted support.
-    rank: HashMap<usize, u64>,
-}
-
-impl ExprHasher {
-    fn new(offsets: &[usize]) -> Self {
-        let rank = offsets
-            .iter()
-            .enumerate()
-            .map(|(i, &off)| (off, i as u64))
-            .collect();
-        let mut hasher = ExprHasher {
-            h: [0xCBF2_9CE4_8422_2325, 0x9E37_79B9_7F4A_7C15],
-            ids: HashMap::new(),
-            rank,
-        };
-        hasher.mix(offsets.len() as u64);
-        hasher
-    }
-
-    fn mix(&mut self, v: u64) {
-        for h in self.h.iter_mut() {
-            *h ^= v;
-            *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            *h ^= *h >> 29;
-        }
-    }
-
-    /// The positional encoding of a byte offset.  Offsets outside the
-    /// support cannot produce false hits (both sides of any colliding pair
-    /// would need the same out-of-support offset), so falling back to the
-    /// raw offset only costs precision, never soundness.
-    fn position(&self, offset: usize) -> u64 {
-        self.rank.get(&offset).copied().unwrap_or(offset as u64)
-    }
-
-    /// Walks `root`'s DAG iteratively in post-order, mixing one record per
-    /// *new* node, and returns the root's id.
-    fn visit(&mut self, root: &ExprRef) -> u64 {
-        let mut stack: Vec<(ExprRef, bool)> = vec![(*root, false)];
-        while let Some((e, ready)) = stack.pop() {
-            if self.ids.contains_key(&e.memo_key()) {
-                continue;
-            }
-            if ready {
-                self.record(&e);
-                continue;
-            }
-            match e.as_ref() {
-                SymExpr::Const { .. } | SymExpr::InputByte { .. } | SymExpr::Field { .. } => {
-                    self.record(&e);
-                }
-                SymExpr::Unary { arg, .. } | SymExpr::Cast { arg, .. } => {
-                    stack.push((e, true));
-                    stack.push((*arg, false));
-                }
-                SymExpr::Binary { lhs, rhs, .. } => {
-                    stack.push((e, true));
-                    stack.push((*lhs, false));
-                    stack.push((*rhs, false));
-                }
-            }
-        }
-        self.ids[&root.memo_key()]
-    }
-
-    /// Mixes one node whose children are already recorded and assigns its id.
-    fn record(&mut self, e: &ExprRef) {
-        match e.as_ref() {
-            SymExpr::Const { width, value } => {
-                let value = width.truncate(*value);
-                self.mix(1);
-                self.mix(width.bits() as u64);
-                self.mix(value);
-            }
-            SymExpr::InputByte { offset } => {
-                let position = self.position(*offset);
-                self.mix(2);
-                self.mix(position);
-            }
-            SymExpr::Field { width, offsets, .. } => {
-                self.mix(3);
-                self.mix(width.bits() as u64);
-                self.mix(offsets.len() as u64);
-                for &off in offsets {
-                    let position = self.position(off);
-                    self.mix(position);
-                }
-            }
-            SymExpr::Unary { op, width, arg } => {
-                let child = self.ids[&arg.memo_key()];
-                self.mix(4);
-                self.mix(*op as u64);
-                self.mix(width.bits() as u64);
-                self.mix(child);
-            }
-            SymExpr::Cast { kind, width, arg } => {
-                let child = self.ids[&arg.memo_key()];
-                self.mix(5);
-                self.mix(*kind as u64);
-                self.mix(width.bits() as u64);
-                self.mix(child);
-            }
-            SymExpr::Binary {
-                op,
-                width,
-                lhs,
-                rhs,
-            } => {
-                let left = self.ids[&lhs.memo_key()];
-                let right = self.ids[&rhs.memo_key()];
-                self.mix(6);
-                self.mix(*op as u64);
-                self.mix(width.bits() as u64);
-                self.mix(left);
-                self.mix(right);
-            }
-        }
-        self.ids.insert(e.memo_key(), self.ids.len() as u64);
-    }
-
-    fn digest(&self) -> (u64, u64) {
-        (self.h[0], self.h[1])
-    }
-}
-
-/// Inserts a definitive verdict, clearing the table first when it is full.
-fn memo_insert(key: (u64, u64), verdict: CachedVerdict) {
-    let mut memo = verdict_memo().lock().unwrap_or_else(|p| p.into_inner());
-    if memo.len() >= VERDICT_MEMO_CAP {
-        memo.clear();
-    }
-    memo.insert(key, verdict);
-}
-
-/// A query's memo identity: the positional structural key of its expression
-/// DAG plus the sorted support it was computed over (cached `Sat` models are
-/// positional and decode against that support).
-///
-/// Computing a `QueryKey` walks the expression DAG once and builds **no
-/// gates**, so the escalation ladder probes the memo before any AIG exists;
-/// the circuit is only built on misses that sampling cannot resolve.
-///
-/// Only *definitive* outcomes enter the memo: `Unsat` and `Sat` are
-/// budget-independent truths about the query, while `Abandoned` depends on
-/// the caller's conflict budget and must stay re-decidable (a starved chaos
-/// run must not poison — or be rescued by — a healthy one).
-pub(crate) struct QueryKey {
-    key: (u64, u64),
-    offsets: Vec<usize>,
-}
-
-/// Keys the equivalence query `a ≟ b` over the pair's union support.  Both
-/// DAGs are walked by one hasher, so subexpressions shared between the two
-/// sides are recorded once — mirroring how the blaster would share their
-/// gates.
-pub(crate) fn key_equiv(a: &ExprRef, b: &ExprRef) -> QueryKey {
-    let mut offsets: Vec<usize> = a.support().iter().chain(b.support().iter()).collect();
-    offsets.sort_unstable();
-    offsets.dedup();
-    let mut hasher = ExprHasher::new(&offsets);
-    hasher.mix(1); // query tag: equivalence miter
-    let left = hasher.visit(a);
-    let right = hasher.visit(b);
-    hasher.mix(left);
-    hasher.mix(right);
-    QueryKey {
-        key: hasher.digest(),
-        offsets,
-    }
-}
-
-/// Keys the satisfiability query `expr ≠ 0` over the expression's support.
-pub(crate) fn key_nonzero(expr: &ExprRef) -> QueryKey {
-    let offsets: Vec<usize> = expr.support().iter().collect();
-    let mut hasher = ExprHasher::new(&offsets);
-    hasher.mix(2); // query tag: non-zero satisfiability
-    let root = hasher.visit(expr);
-    hasher.mix(root);
-    QueryKey {
-        key: hasher.digest(),
-        offsets,
-    }
-}
-
-impl QueryKey {
-    /// Probes the verdict memo, counting one hit or one miss; `None` on a
-    /// miss.  A cached `Sat` is re-projected onto this query's byte
-    /// offsets, which is what lets a donor check re-proved at different
-    /// offsets hit.
-    ///
-    /// A zero gate budget bypasses the memo entirely (neither hit nor miss
-    /// is counted): [`super::SolverBudgets::starved`] must behave
-    /// identically on a hot and a cold memo, because chaos-starved
-    /// scenarios are asserted to fail even when a healthy sweep already
-    /// decided their queries.
-    pub(crate) fn probe(&self, limits: &BlastLimits) -> Option<BlastOutcome> {
-        if limits.max_gates == 0 {
-            return None;
-        }
-        let memo = verdict_memo().lock().unwrap_or_else(|p| p.into_inner());
-        match memo.get(&self.key) {
-            Some(hit) => {
-                memo_hit_counter().inc();
-                Some(match hit {
-                    CachedVerdict::Unsat => BlastOutcome::Unsat,
-                    CachedVerdict::Sat(bytes) => BlastOutcome::Sat(
-                        self.offsets
-                            .iter()
-                            .copied()
-                            .zip(bytes.iter().copied())
-                            .collect(),
-                    ),
-                })
-            }
-            None => {
-                memo_miss_counter().inc();
-                None
-            }
-        }
-    }
-
-    /// Records a model the ladder's *sampling* stage found, so the next
-    /// identical query probe-hits without sampling.  (Sampling is
-    /// deterministic and positional — the seeded stream assigns the same
-    /// byte sequence to the same support positions — so the cached model is
-    /// exactly what any same-key query's own sampling would produce.)
-    pub(crate) fn cache_model(&self, model: &[(usize, u8)]) {
-        let bytes: Vec<u8> = self
-            .offsets
-            .iter()
-            .map(|off| {
-                model
-                    .iter()
-                    .find(|(o, _)| o == off)
-                    .map(|&(_, b)| b)
-                    .unwrap_or(0)
-            })
-            .collect();
-        memo_insert(self.key, CachedVerdict::Sat(bytes));
-    }
-
-    /// The query's sorted support — the byte offsets cached models are
-    /// positional over.
-    pub(crate) fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// Records a decision-procedure outcome; `Abandoned` never enters.
-    /// `decide_root` emits models in `offsets` order, which *is* the
-    /// positional order the circuit's input variables were allocated in.
-    pub(crate) fn record(&self, outcome: &BlastOutcome) {
-        match outcome {
-            BlastOutcome::Unsat => memo_insert(self.key, CachedVerdict::Unsat),
-            BlastOutcome::Sat(model) => memo_insert(
-                self.key,
-                CachedVerdict::Sat(model.iter().map(|&(_, b)| b).collect()),
-            ),
-            BlastOutcome::Abandoned(_) => {}
-        }
-    }
-}
-
-/// Builds and decides the equivalence miter `a ≠ b` (both values
-/// zero-extended to a common width, exactly as the sampling comparison
-/// treats `eval` results), recording definitive verdicts under `query`.
-/// Never consults the memo — the ladder already probed it (and counted the
-/// miss) before spending samples.
-pub(crate) fn solve_equiv(
-    a: &ExprRef,
-    b: &ExprRef,
-    limits: &BlastLimits,
-    query: &QueryKey,
-) -> BlastOutcome {
-    let mut blaster = Blaster::new(&query.offsets, limits.max_gates);
-    match blaster.equiv_root(a, b) {
-        Ok(root) => {
-            let outcome = decide_root(&blaster, root, &query.offsets, limits);
-            query.record(&outcome);
-            outcome
-        }
-        Err(error) => BlastOutcome::Abandoned(abandon_reason(error)),
-    }
-}
-
-/// Builds and decides the circuit for `expr ≠ 0`, recording definitive
-/// verdicts under `query` exactly as [`solve_equiv`] does.
-pub(crate) fn solve_nonzero(
-    expr: &ExprRef,
-    limits: &BlastLimits,
-    query: &QueryKey,
-) -> BlastOutcome {
-    let mut blaster = Blaster::new(&query.offsets, limits.max_gates);
-    match blaster.nonzero_root(expr) {
-        Ok(root) => {
-            let outcome = decide_root(&blaster, root, &query.offsets, limits);
-            query.record(&outcome);
-            outcome
-        }
-        Err(error) => BlastOutcome::Abandoned(abandon_reason(error)),
-    }
-}
-
-/// Checks whether `a` and `b` denote the same `u64` value on every input.
-///
-/// Probes the process-wide verdict memo by the pair's expression-DAG key,
-/// then builds the miter `a ≠ b` and decides it with the built-in CDCL
-/// under `limits`.
-pub fn check_equiv(a: &ExprRef, b: &ExprRef, limits: &BlastLimits) -> BlastOutcome {
-    let query = key_equiv(a, b);
-    query
-        .probe(limits)
-        .unwrap_or_else(|| solve_equiv(a, b, limits, &query))
-}
-
-/// Checks whether `expr` can evaluate to a non-zero value on some input —
-/// the satisfiability entry point goal-directed discovery builds on.
-///
-/// `Sat` carries a full input-byte model over the expression's support
-/// (`Unsat` means the expression is zero on **every** environment); the
-/// query abandons on unsupported operators or exhausted budgets exactly as
-/// [`check_equiv`] does.
-pub fn check_nonzero(expr: &ExprRef, limits: &BlastLimits) -> BlastOutcome {
-    let query = key_nonzero(expr);
-    query
-        .probe(limits)
-        .unwrap_or_else(|| solve_nonzero(expr, limits, &query))
-}
-
 /// One clause with its learning metadata.
 struct Clause {
     /// The literals; slots 0 and 1 are the watched pair.
@@ -1273,59 +771,33 @@ impl Ord for ActKey {
 }
 
 impl Cdcl {
-    pub(crate) fn new(n_vars: usize, clauses: Vec<Vec<Lit>>) -> Self {
-        let mut sat = Cdcl {
-            clauses: Vec::with_capacity(clauses.len()),
-            watches: vec![Vec::new(); 2 * n_vars],
-            assign: vec![-1; n_vars],
-            level: vec![0; n_vars],
-            reason: vec![None; n_vars],
+    /// An empty problem over the reserved constant variable alone; it grows
+    /// through [`Cdcl::ensure_vars`] and [`Cdcl::add_clause`].
+    pub(crate) fn new() -> Self {
+        Cdcl {
+            clauses: Vec::new(),
+            watches: vec![Vec::new(); 2],
+            // Variable 0 is the constant-false reserved variable.
+            assign: vec![0],
+            level: vec![0],
+            reason: vec![None],
             trail: Vec::new(),
             trail_lim: Vec::new(),
             prop_head: 0,
-            activity: vec![0.0; n_vars],
+            activity: vec![0.0],
             var_inc: 1.0,
             heap: std::collections::BinaryHeap::new(),
-            phase: vec![false; n_vars],
-            seen: vec![false; n_vars],
+            phase: vec![false],
+            seen: vec![false],
             cla_inc: 1.0,
             num_learnts: 0,
-            max_learnts: 0,
+            // The first reduction threshold, grown geometrically after
+            // every reduction.
+            max_learnts: 512,
             restarts: 0,
             reduces: 0,
             unsat: false,
-        };
-        // Variable 0 is the constant-false reserved variable.
-        sat.assign[0] = 0;
-        let mut problem_clauses = 0usize;
-        for clause in clauses {
-            match clause.len() {
-                0 => sat.unsat = true,
-                1 => {
-                    if !sat.enqueue(clause[0], None) {
-                        sat.unsat = true;
-                    }
-                }
-                _ => {
-                    for &lit in &clause {
-                        let v = var_of(lit) as usize;
-                        sat.activity[v] += 1.0;
-                        sat.phase[v] = lit & 1 != 0;
-                    }
-                    problem_clauses += 1;
-                    sat.attach(clause, false);
-                }
-            }
         }
-        // Reduction threshold: a third of the problem size to start, grown
-        // geometrically after every reduction.
-        sat.max_learnts = (problem_clauses / 3).max(512);
-        for v in 1..n_vars as u32 {
-            if sat.activity[v as usize] > 0.0 {
-                sat.heap.push((ActKey(sat.activity[v as usize]), v));
-            }
-        }
-        sat
     }
 
     /// Grows the variable space to `n_vars` (no-op when already that large).
@@ -1345,9 +817,9 @@ impl Cdcl {
 
     /// Adds a permanent clause between solve calls, backtracking to the root
     /// level first (assignments from a previous query's assumptions must not
-    /// leak into the clause's unit test).  Mirrors the constructor's
-    /// seeding: multi-literal clauses bump their variables' activities and
-    /// phases so the new variables become decidable.
+    /// leak into the clause's unit test).  Multi-literal clauses bump their
+    /// variables' activities and phases so the new variables become
+    /// decidable.
     pub(crate) fn add_clause(&mut self, clause: Vec<Lit>) {
         self.backtrack(0);
         match clause.len() {
@@ -1645,18 +1117,6 @@ impl Cdcl {
         None
     }
 
-    /// Runs the search.  `Some(true)` = satisfiable (model via [`value`]),
-    /// `Some(false)` = unsatisfiable, `None` = conflict budget exceeded.
-    ///
-    /// [`value`]: Cdcl::value
-    pub(crate) fn solve(&mut self, max_conflicts: u64) -> Option<bool> {
-        match self.solve_under_assumptions(&[], max_conflicts) {
-            SolveResult::Sat => Some(true),
-            SolveResult::Unsat { .. } => Some(false),
-            SolveResult::Budget => None,
-        }
-    }
-
     /// Runs the search with `assumptions` enqueued as pseudo-decisions on
     /// the first decision levels (in order, one level each).  The conflict
     /// budget is *per call* — a reused solver charges each query only its
@@ -1795,8 +1255,40 @@ impl Cdcl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::{IncrementalSolver, IncrementalVerdict};
     use cp_symexpr::eval::eval;
     use cp_symexpr::{ExprBuild, SymExpr, Width};
+
+    /// Decides the miter `a ≠ b` on a fresh incremental context.
+    fn miter(a: &ExprRef, b: &ExprRef, limits: &BlastLimits) -> IncrementalVerdict {
+        let mut offsets: Vec<usize> = a.support().iter().chain(b.support().iter()).collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        IncrementalSolver::new(limits).query_equiv(a, b, &offsets)
+    }
+
+    /// Decides `expr ≠ 0` on a fresh incremental context.
+    fn nonzero(expr: &ExprRef, limits: &BlastLimits) -> IncrementalVerdict {
+        let offsets: Vec<usize> = expr.support().iter().collect();
+        IncrementalSolver::new(limits).query_nonzero(std::slice::from_ref(expr), &offsets)
+    }
+
+    fn assert_unsat(verdict: IncrementalVerdict) {
+        assert!(
+            matches!(verdict, IncrementalVerdict::Unsat { .. }),
+            "expected Unsat, got {verdict:?}"
+        );
+    }
+
+    /// A solver over variables `1..n_vars` holding `clauses`.
+    fn cdcl(n_vars: usize, clauses: Vec<Vec<Lit>>) -> Cdcl {
+        let mut sat = Cdcl::new();
+        sat.ensure_vars(n_vars);
+        for clause in clauses {
+            sat.add_clause(clause);
+        }
+        sat
+    }
 
     fn be16(hi: usize, lo: usize) -> ExprRef {
         SymExpr::input_byte(hi)
@@ -1820,18 +1312,15 @@ mod tests {
     fn field_equals_its_byte_concatenation() {
         let raw = be16(4, 5);
         let field = SymExpr::field("/hdr/height", Width::W16, vec![4, 5]);
-        assert_eq!(
-            check_equiv(&raw, &field, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&raw, &field, &BlastLimits::default()));
     }
 
     #[test]
     fn distinct_bytes_yield_a_real_witness() {
         let a = be16(0, 1);
         let b = be16(2, 3);
-        match check_equiv(&a, &b, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => assert_witness_disagrees(&a, &b, &witness),
+        match miter(&a, &b, &BlastLimits::default()) {
+            IncrementalVerdict::Sat(witness) => assert_witness_disagrees(&a, &b, &witness),
             other => panic!("expected Sat, got {other:?}"),
         }
     }
@@ -1842,10 +1331,7 @@ mod tests {
         let y = SymExpr::input_byte(1).zext(Width::W32);
         let ab = x.binop(BinOp::Add, y);
         let ba = y.binop(BinOp::Add, x);
-        assert_eq!(
-            check_equiv(&ab, &ba, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&ab, &ba, &BlastLimits::default()));
     }
 
     #[test]
@@ -1855,10 +1341,7 @@ mod tests {
         let z = SymExpr::input_byte(2).zext(Width::W16);
         let left = x.binop(BinOp::Add, y).binop(BinOp::Add, z);
         let right = x.binop(BinOp::Add, y.binop(BinOp::Add, z));
-        assert_eq!(
-            check_equiv(&left, &right, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&left, &right, &BlastLimits::default()));
     }
 
     #[test]
@@ -1866,8 +1349,8 @@ mod tests {
         let x = SymExpr::input_byte(3).zext(Width::W32);
         let a = x.binop(BinOp::Add, SymExpr::constant(Width::W32, 1));
         let b = x.binop(BinOp::Add, SymExpr::constant(Width::W32, 2));
-        match check_equiv(&a, &b, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => assert_witness_disagrees(&a, &b, &witness),
+        match miter(&a, &b, &BlastLimits::default()) {
+            IncrementalVerdict::Sat(witness) => assert_witness_disagrees(&a, &b, &witness),
             other => panic!("expected Sat, got {other:?}"),
         }
     }
@@ -1879,8 +1362,8 @@ mod tests {
         let x = SymExpr::input_byte(0).zext(Width::W16);
         let plus = x.binop(BinOp::Add, SymExpr::constant(Width::W16, 1));
         let wrapped = plus.truncate(Width::W8).zext(Width::W16);
-        match check_equiv(&plus, &wrapped, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => {
+        match miter(&plus, &wrapped, &BlastLimits::default()) {
+            IncrementalVerdict::Sat(witness) => {
                 assert_eq!(witness, vec![(0, 255)]);
             }
             other => panic!("expected Sat, got {other:?}"),
@@ -1893,10 +1376,7 @@ mod tests {
         let y = SymExpr::input_byte(1);
         let lhs = x.binop(BinOp::And, y).unop(UnOp::Not);
         let rhs = x.unop(UnOp::Not).binop(BinOp::Or, y.unop(UnOp::Not));
-        assert_eq!(
-            check_equiv(&lhs, &rhs, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&lhs, &rhs, &BlastLimits::default()));
     }
 
     #[test]
@@ -1904,10 +1384,7 @@ mod tests {
         let x = SymExpr::input_byte(0).zext(Width::W16);
         let double = x.binop(BinOp::Mul, SymExpr::constant(Width::W16, 2));
         let shifted = x.binop(BinOp::Shl, SymExpr::constant(Width::W16, 1));
-        assert_eq!(
-            check_equiv(&double, &shifted, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&double, &shifted, &BlastLimits::default()));
     }
 
     #[test]
@@ -1919,8 +1396,8 @@ mod tests {
         let s = SymExpr::input_byte(1).zext(Width::W16);
         let shr = x.binop(BinOp::ShrU, s);
         let shl = x.binop(BinOp::Shl, s);
-        match check_equiv(&shr, &shl, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => assert_witness_disagrees(&shr, &shl, &witness),
+        match miter(&shr, &shl, &BlastLimits::default()) {
+            IncrementalVerdict::Sat(witness) => assert_witness_disagrees(&shr, &shl, &witness),
             other => panic!("expected Sat, got {other:?}"),
         }
     }
@@ -1933,10 +1410,7 @@ mod tests {
         let expected = x
             .binop(BinOp::LtS, SymExpr::constant(Width::W8, 0))
             .binop(BinOp::Mul, SymExpr::constant(Width::W8, 0xFF));
-        assert_eq!(
-            check_equiv(&big, &expected, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&big, &expected, &BlastLimits::default()));
     }
 
     #[test]
@@ -1946,15 +1420,12 @@ mod tests {
         let x = SymExpr::input_byte(0).zext(Width::W16);
         let div2 = x.binop(BinOp::DivU, SymExpr::constant(Width::W16, 2));
         let shr = x.binop(BinOp::ShrU, SymExpr::constant(Width::W16, 1));
-        assert_eq!(
-            check_equiv(&div2, &shr, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&div2, &shr, &BlastLimits::default()));
         // …while x / 3 disagrees with x >> 1 somewhere, with a genuine
         // witness.
         let div3 = x.binop(BinOp::DivU, SymExpr::constant(Width::W16, 3));
-        match check_equiv(&div3, &shr, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => assert_witness_disagrees(&div3, &shr, &witness),
+        match miter(&div3, &shr, &BlastLimits::default()) {
+            IncrementalVerdict::Sat(witness) => assert_witness_disagrees(&div3, &shr, &witness),
             other => panic!("expected Sat, got {other:?}"),
         }
     }
@@ -1966,19 +1437,13 @@ mod tests {
         let x = SymExpr::input_byte(0).zext(Width::W16);
         let zero = SymExpr::constant(Width::W16, 0);
         let div = x.binop(BinOp::DivU, zero);
-        assert_eq!(
-            check_equiv(
-                &div,
-                &SymExpr::constant(Width::W16, 0xFFFF),
-                &BlastLimits::default()
-            ),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(
+            &div,
+            &SymExpr::constant(Width::W16, 0xFFFF),
+            &BlastLimits::default(),
+        ));
         let rem = x.binop(BinOp::RemU, zero);
-        assert_eq!(
-            check_equiv(&rem, &x, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&rem, &x, &BlastLimits::default()));
     }
 
     #[test]
@@ -1988,10 +1453,7 @@ mod tests {
         let x = SymExpr::input_byte(0);
         let div = x.binop(BinOp::DivS, SymExpr::constant(Width::W8, 0xFF));
         let neg = x.unop(UnOp::Neg);
-        assert_eq!(
-            check_equiv(&div, &neg, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&div, &neg, &BlastLimits::default()));
     }
 
     /// Evaluates a blasted bit vector under a concrete environment by
@@ -2037,13 +1499,12 @@ mod tests {
         let mut checked = 0usize;
         for &width in &widths {
             let nbytes = width.bits() as usize / 8;
-            let offsets: Vec<usize> = (0..2 * nbytes).collect();
             // Field folds most-significant-first, so byte 0 is the top byte.
             let a = SymExpr::field("/a", width, (0..nbytes).collect());
             let b = SymExpr::field("/b", width, (nbytes..2 * nbytes).collect());
             for &op in &ops {
                 let expr = a.binop(op, b);
-                let mut blaster = Blaster::new(&offsets, 400_000);
+                let mut blaster = Blaster::new(400_000);
                 let bits = blaster.blast(&expr).expect("division blasts within budget");
                 let mut cases: Vec<Vec<u8>> = Vec::new();
                 // INT_MIN / -1 (the signed wraparound), x / 0, INT_MIN / 1,
@@ -2099,13 +1560,13 @@ mod tests {
         let sum = x.binop(BinOp::Add, y);
         let prod = x.binop(BinOp::Mul, y);
         // How many gates the product needs on its own.
-        let mut probe = Blaster::new(&[0, 1], usize::MAX);
+        let mut probe = Blaster::new(usize::MAX);
         probe.blast(&prod).expect("unbounded blast");
         let prod_gates = probe.aig.gates;
         // A shared graph whose budget fits exactly one product: after the
         // adder query consumed part of the graph, the product query must
         // still blast — `begin_query` resets the per-query floor.
-        let mut shared = Blaster::new(&[0, 1], prod_gates);
+        let mut shared = Blaster::new(prod_gates);
         shared.begin_query();
         shared.blast(&sum).expect("the adder fits the budget alone");
         assert!(shared.aig.gates > 0);
@@ -2123,7 +1584,7 @@ mod tests {
             vec![lit(1, false), lit(2, false)],
             vec![lit(1, true), lit(3, false)],
         ];
-        let mut sat = Cdcl::new(4, clauses);
+        let mut sat = cdcl(4, clauses);
         assert_eq!(sat.solve_under_assumptions(&[], 1000), SolveResult::Sat);
         assert_eq!(
             sat.solve_under_assumptions(&[lit(2, true)], 1000),
@@ -2160,7 +1621,7 @@ mod tests {
     #[test]
     fn clauses_added_between_queries_constrain_later_ones() {
         let lit = |v: u32, neg: bool| (v << 1) | u32::from(neg);
-        let mut sat = Cdcl::new(3, vec![vec![lit(1, false), lit(2, false)]]);
+        let mut sat = cdcl(3, vec![vec![lit(1, false), lit(2, false)]]);
         assert_eq!(
             sat.solve_under_assumptions(&[lit(1, true)], 1000),
             SolveResult::Sat
@@ -2213,8 +1674,11 @@ mod tests {
     #[test]
     fn cdcl_refutes_pigeonhole_with_reduction_and_restarts() {
         let (n_vars, clauses) = pigeonhole(8, 7);
-        let mut sat = Cdcl::new(n_vars, clauses);
-        assert_eq!(sat.solve(2_000_000), Some(false));
+        let mut sat = cdcl(n_vars, clauses);
+        assert_eq!(
+            sat.solve_under_assumptions(&[], 2_000_000),
+            SolveResult::Unsat { core: Vec::new() }
+        );
         assert!(sat.restarts > 0, "expected Luby restarts to fire");
         assert!(
             sat.reduces > 0,
@@ -2257,8 +1721,11 @@ mod tests {
             lits[fix] = ((vars[fix] as u32) << 1) | u32::from(!planted[vars[fix]]);
             clauses.push(lits);
         }
-        let mut sat = Cdcl::new(n_vars + 1, clauses.clone());
-        assert_eq!(sat.solve(2_000_000), Some(true));
+        let mut sat = cdcl(n_vars + 1, clauses.clone());
+        assert_eq!(
+            sat.solve_under_assumptions(&[], 2_000_000),
+            SolveResult::Sat
+        );
         for clause in &clauses {
             assert!(
                 clause
@@ -2285,10 +1752,7 @@ mod tests {
             .iter()
             .rev()
             .fold(bytes[3], |acc, b| acc.binop(BinOp::Add, *b));
-        assert_eq!(
-            check_equiv(&left, &right, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(miter(&left, &right, &BlastLimits::default()));
     }
 
     #[test]
@@ -2296,8 +1760,8 @@ mod tests {
         // hdr16 == 0xBEEF has exactly one model over two bytes.
         let raw = be16(0, 1);
         let goal = raw.binop(BinOp::Eq, SymExpr::constant(Width::W16, 0xBEEF));
-        match check_nonzero(&goal, &BlastLimits::default()) {
-            BlastOutcome::Sat(model) => {
+        match nonzero(&goal, &BlastLimits::default()) {
+            IncrementalVerdict::Sat(model) => {
                 let mut sorted = model.clone();
                 sorted.sort_unstable();
                 assert_eq!(sorted, vec![(0, 0xBE), (1, 0xEF)]);
@@ -2314,24 +1778,18 @@ mod tests {
         let lt = x.binop(BinOp::LtU, SymExpr::constant(Width::W16, 4));
         let ge = SymExpr::constant(Width::W16, 9).binop(BinOp::LeU, x);
         let both = lt.binop(BinOp::And, ge);
-        assert_eq!(
-            check_nonzero(&both, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(nonzero(&both, &BlastLimits::default()));
     }
 
     #[test]
     fn nonzero_constant_true_satisfies_trivially() {
         let one = SymExpr::constant(Width::W8, 1);
         assert!(matches!(
-            check_nonzero(&one, &BlastLimits::default()),
-            BlastOutcome::Sat(_)
+            nonzero(&one, &BlastLimits::default()),
+            IncrementalVerdict::Sat(_)
         ));
         let zero = SymExpr::constant(Width::W8, 0);
-        assert_eq!(
-            check_nonzero(&zero, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(nonzero(&zero, &BlastLimits::default()));
     }
 
     #[test]
@@ -2341,8 +1799,8 @@ mod tests {
         // x / y can be nonzero (e.g. 2 / 1), and any witness must really
         // make it so.
         let quotient = x.binop(BinOp::DivU, y);
-        match check_nonzero(&quotient, &BlastLimits::default()) {
-            BlastOutcome::Sat(witness) => {
+        match nonzero(&quotient, &BlastLimits::default()) {
+            IncrementalVerdict::Sat(witness) => {
                 let mut env = [0u8; 2];
                 for &(off, byte) in &witness {
                     env[off] = byte;
@@ -2355,10 +1813,7 @@ mod tests {
         let two = SymExpr::constant(Width::W16, 2);
         let three = SymExpr::constant(Width::W16, 3);
         let impossible = x.binop(BinOp::RemU, two).binop(BinOp::Eq, three);
-        assert_eq!(
-            check_nonzero(&impossible, &BlastLimits::default()),
-            BlastOutcome::Unsat
-        );
+        assert_unsat(nonzero(&impossible, &BlastLimits::default()));
     }
 
     #[test]
@@ -2372,88 +1827,8 @@ mod tests {
             max_conflicts: 10,
         };
         assert_eq!(
-            check_equiv(&a, &b, &limits),
-            BlastOutcome::Abandoned("gate budget")
-        );
-    }
-
-    // The verdict-memo tests use delta-based assertions on the global
-    // counters: other tests run concurrently in this process and bump them
-    // too, so the tests assert their own contribution, never totals.
-
-    #[test]
-    fn a_repeated_query_is_a_memo_hit() {
-        let limits = BlastLimits::default();
-        let e = SymExpr::input_byte(2001)
-            .zext(Width::W32)
-            .binop(BinOp::Mul, SymExpr::constant(Width::W32, 3))
-            .binop(BinOp::Eq, SymExpr::constant(Width::W32, 6));
-        let first = check_nonzero(&e, &limits);
-        assert!(matches!(first, BlastOutcome::Sat(_)), "{first:?}");
-        let before = memo_stats();
-        let second = check_nonzero(&e, &limits);
-        assert_eq!(first, second, "a hit must reproduce the verdict exactly");
-        assert!(
-            memo_stats().hits > before.hits,
-            "an identical circuit must be served from the memo"
-        );
-    }
-
-    #[test]
-    fn a_hit_reprojects_the_witness_onto_new_offsets() {
-        // Same boolean function of input *positions*, different byte
-        // offsets: the second query must hit and decode the cached model
-        // against its own offsets.
-        let limits = BlastLimits::default();
-        let at = |offset: usize| {
-            SymExpr::input_byte(offset)
-                .zext(Width::W16)
-                .binop(BinOp::Eq, SymExpr::constant(Width::W16, 77))
-        };
-        let first = check_nonzero(&at(3001), &limits);
-        assert_eq!(first, BlastOutcome::Sat(vec![(3001, 77)]));
-        let before = memo_stats();
-        let second = check_nonzero(&at(3002), &limits);
-        assert_eq!(
-            second,
-            BlastOutcome::Sat(vec![(3002, 77)]),
-            "the cached positional model must decode at the new offset"
-        );
-        assert!(
-            memo_stats().hits > before.hits,
-            "offsets must not enter the circuit key"
-        );
-    }
-
-    #[test]
-    fn abandoned_verdicts_are_not_cached() {
-        // An associativity miter — (x+y)+z vs x+(y+z) — builds *different*
-        // gates (strashing cannot collapse it) and its UNSAT proof needs
-        // real CDCL search: with a zero conflict budget it abandons, and
-        // that non-verdict must not poison the memo — a later, properly
-        // budgeted run must decide it for real.
-        let x = SymExpr::input_byte(4001).zext(Width::W16);
-        let y = SymExpr::input_byte(4002).zext(Width::W16);
-        let z = SymExpr::input_byte(4003).zext(Width::W16);
-        let a = x.binop(BinOp::Add, y).binop(BinOp::Add, z);
-        let b = x.binop(BinOp::Add, y.binop(BinOp::Add, z));
-        let starved = BlastLimits {
-            max_gates: 100_000,
-            max_conflicts: 0,
-        };
-        assert_eq!(
-            check_equiv(&a, &b, &starved),
-            BlastOutcome::Abandoned("conflict budget")
-        );
-        let before = memo_stats();
-        assert_eq!(
-            check_equiv(&a, &b, &BlastLimits::default()),
-            BlastOutcome::Unsat,
-            "addition associates"
-        );
-        assert!(
-            memo_stats().misses > before.misses,
-            "the abandoned attempt must not have seeded the memo"
+            miter(&a, &b, &limits),
+            IncrementalVerdict::Abandoned("gate budget")
         );
     }
 }

@@ -220,7 +220,8 @@ fn harness_solver() -> Solver {
     }
 }
 
-/// Cross-checks `pairs` seeded expression pairs against the one-shot solver.
+/// Cross-checks `pairs` seeded expression pairs against [`Solver::equivalent`],
+/// which decides each pair on a single-query session.
 ///
 /// The reference sampler deliberately uses a different seed and a larger
 /// budget than the solver's internal refutation pre-filter, so a `Proved`

@@ -4,9 +4,10 @@
 //! over shared structure: translation proves one miter per donor-field
 //! candidate against a single recipient cone (Section 3.3), and discovery
 //! re-solves one path prefix per generation with a single constraint flipped
-//! (Section 3.1).  The one-shot entry points in [`crate::bitblast`] rebuild
-//! the AIG, re-Tseitin the CNF and relearn every clause from scratch for each
-//! query; this module keeps all three alive instead.
+//! (Section 3.1).  This module keeps the AIG, the CNF and every learned
+//! clause alive across such a queue instead of rebuilding them per query.
+//! It is the solver's only bit-blast backend: [`Solver::equivalent`] and
+//! [`Solver::solve`] run their single query on a throwaway session.
 //!
 //! ## The assumption protocol
 //!
@@ -33,12 +34,12 @@
 //! Never, within a session — that is the point.  Sessions are scoped to one
 //! arena epoch (the blasted-bits memo is keyed by arena addresses), so each
 //! `translate`/`discover` run builds a fresh session and drops it at the
-//! end; the process-wide *verdict* memo in [`crate::bitblast`] carries
-//! whatever is reusable across runs.  Budgets are per query, not per
-//! session: the gate ceiling counts gates added since the current query
-//! began (see [`crate::bitblast`]'s `begin_query`), and the conflict ceiling
-//! counts conflicts within one `solve_under_assumptions` call, so a reused
-//! context can never starve a later query with an earlier query's spending.
+//! end; the process-wide *verdict* memo carries whatever is reusable across
+//! runs.  Budgets are per query, not per session: the gate ceiling counts
+//! gates added since the current query began (see [`crate::bitblast`]'s
+//! `begin_query`), and the conflict ceiling counts conflicts within one
+//! `solve_under_assumptions` call, so a reused context can never starve a
+//! later query with an earlier query's spending.
 
 use std::sync::OnceLock;
 
@@ -46,10 +47,10 @@ use cp_symexpr::rewrite::simplify;
 use cp_symexpr::ExprRef;
 
 use crate::bitblast::{
-    key_equiv, key_nonzero, BlastError, BlastLimits, BlastOutcome, Blaster, Cdcl, Lit, SolveResult,
-    LIT_FALSE, LIT_TRUE,
+    BlastError, BlastLimits, Blaster, Cdcl, Lit, SolveResult, LIT_FALSE, LIT_TRUE,
 };
-use crate::{eval_model, witness_disagrees, Equivalence, Satisfiability, Solver};
+use crate::ladder::{decide, Query};
+use crate::{Equivalence, Satisfiability, Solver};
 
 fn queries_counter() -> &'static cp_obs::metrics::Counter {
     static C: OnceLock<&'static cp_obs::metrics::Counter> = OnceLock::new();
@@ -82,9 +83,9 @@ pub enum IncrementalVerdict {
 
 /// A persistent AIG + CNF + CDCL context deciding many related queries.
 ///
-/// See the module docs for the protocol.  This is the mechanism layer; the
-/// consumer-facing ladders (memo, sampling, validation) live in
-/// [`EquivSession`] and [`SatSession`].
+/// See the module docs for the protocol.  This is the mechanism layer;
+/// [`EquivSession`] and [`SatSession`] run the solver's escalation ladder
+/// (memo, sampling, validation) on top of it.
 pub struct IncrementalSolver {
     blaster: Blaster,
     sat: Cdcl,
@@ -97,10 +98,10 @@ pub struct IncrementalSolver {
 impl IncrementalSolver {
     pub fn new(limits: &BlastLimits) -> Self {
         IncrementalSolver {
-            blaster: Blaster::new(&[], limits.max_gates),
+            blaster: Blaster::new(limits.max_gates),
             // Variable 0 is the reserved constant; the CNF never mentions it
             // (gates fold constant fanins away), so it needs no unit clause.
-            sat: Cdcl::new(1, Vec::new()),
+            sat: Cdcl::new(),
             encoded: 1,
             limits: *limits,
             queries: 0,
@@ -115,7 +116,7 @@ impl IncrementalSolver {
 
     /// Permanently asserts `expr ≠ 0` as unit clauses in the shared
     /// database.  Returns `Err` if the cone exceeds the per-query gate
-    /// budget (the session layer degrades to one-shot solving then).
+    /// budget (the session layer degrades to single-query sessions then).
     pub fn assert_nonzero(&mut self, expr: &ExprRef) -> Result<(), BlastError> {
         self.blaster.begin_query();
         let root = self.blaster.nonzero_root(expr)?;
@@ -206,11 +207,6 @@ impl IncrementalSolver {
 /// The equivalence ladder over a shared incremental context — what
 /// [`crate::translate::Translator`] drives while proving many donor-field
 /// miters against one recipient cone.
-///
-/// Mirrors [`Solver::equivalent`] stage for stage (structural equality,
-/// verdict memo, sampling, exhaustive fallback, witness re-validation); only
-/// the bit-blast rung runs against the session's persistent AIG/CNF/CDCL
-/// instead of building a throwaway one.
 pub struct EquivSession {
     solver: Solver,
     inc: IncrementalSolver,
@@ -225,61 +221,13 @@ impl EquivSession {
     }
 
     /// Decides whether `a` and `b` denote the same value on every input,
-    /// with the same verdict contract as [`Solver::equivalent`].
+    /// with the same verdict contract as [`Solver::equivalent`]: a model of
+    /// the miter `a ≠ b` is a refutation witness.
     pub fn equivalent(&mut self, a: &ExprRef, b: &ExprRef) -> Equivalence {
-        if a == b {
-            return Equivalence::Proved;
-        }
-        let sa = simplify(a);
-        let sb = simplify(b);
-        if sa == sb {
-            return Equivalence::Proved;
-        }
-        let query = key_equiv(&sa, &sb);
-        match query.probe(&self.solver.limits) {
-            Some(BlastOutcome::Unsat) => return Equivalence::Proved,
-            Some(BlastOutcome::Sat(witness)) if witness_disagrees(a, b, &witness) => {
-                return Equivalence::Refuted { witness };
-            }
-            _ => {}
-        }
-
-        cp_obs::event!(SolverEscalation {
-            query: "equiv".to_string(),
-            stage: "sampling".to_string()
-        });
-        if let Equivalence::Refuted { witness } = self.solver.sampler.equivalent(&sa, &sb) {
-            query.cache_model(&witness);
-            return Equivalence::Refuted { witness };
-        }
-        if !sa.is_tainted() && !sb.is_tainted() {
-            return Equivalence::Proved;
-        }
-
-        cp_obs::event!(SolverEscalation {
-            query: "equiv".to_string(),
-            stage: "incremental".to_string()
-        });
-        match self.inc.query_equiv(&sa, &sb, query.offsets()) {
-            IncrementalVerdict::Unsat { .. } => {
-                query.record(&BlastOutcome::Unsat);
-                Equivalence::Proved
-            }
-            IncrementalVerdict::Sat(witness) => {
-                if witness_disagrees(a, b, &witness) {
-                    query.record(&BlastOutcome::Sat(witness.clone()));
-                    Equivalence::Refuted { witness }
-                } else {
-                    Equivalence::Unknown
-                }
-            }
-            IncrementalVerdict::Abandoned(_) => {
-                cp_obs::event!(SolverEscalation {
-                    query: "equiv".to_string(),
-                    stage: "exhaustive".to_string()
-                });
-                self.solver.exhaustive(&sa, &sb)
-            }
+        match decide(Query::Equiv(*a, *b), &self.solver, &mut self.inc) {
+            Satisfiability::Sat { model } => Equivalence::Refuted { witness: model },
+            Satisfiability::Unsat => Equivalence::Proved,
+            Satisfiability::Unknown => Equivalence::Unknown,
         }
     }
 }
@@ -294,7 +242,8 @@ pub struct SatSession {
     solver: Solver,
     inc: IncrementalSolver,
     /// A permanent assertion overflowed the gate budget: the shared context
-    /// no longer reflects the prefix, so queries degrade to one-shot solves.
+    /// no longer reflects the prefix, so queries degrade to single-query
+    /// sessions.
     degraded: bool,
 }
 
@@ -326,65 +275,18 @@ impl SatSession {
         if self.degraded {
             return self.solver.solve(full);
         }
-        let sc = simplify(full);
-        if let Some(value) = sc.as_const() {
-            return if value != 0 {
-                Satisfiability::Sat { model: Vec::new() }
-            } else {
-                Satisfiability::Unsat
-            };
-        }
-        let query = key_nonzero(&sc);
-        match query.probe(&self.solver.limits) {
-            Some(BlastOutcome::Unsat) => return Satisfiability::Unsat,
-            Some(BlastOutcome::Sat(model)) if eval_model(full, &model) != 0 => {
-                return Satisfiability::Sat { model };
-            }
-            _ => {}
-        }
-
-        cp_obs::event!(SolverEscalation {
-            query: "sat".to_string(),
-            stage: "sampling".to_string()
-        });
-        if let Some(model) = self.solver.sampler.find_model(&sc) {
-            if eval_model(full, &model) != 0 {
-                query.cache_model(&model);
-                return Satisfiability::Sat { model };
-            }
-        }
-        cp_obs::event!(SolverEscalation {
-            query: "sat".to_string(),
-            stage: "incremental".to_string()
-        });
-        let extras: Vec<ExprRef> = extras.iter().map(simplify).collect();
-        match self.inc.query_nonzero(&extras, query.offsets()) {
-            IncrementalVerdict::Sat(model) => {
-                if eval_model(full, &model) != 0 {
-                    query.record(&BlastOutcome::Sat(model.clone()));
-                    Satisfiability::Sat { model }
-                } else {
-                    Satisfiability::Unknown
-                }
-            }
-            IncrementalVerdict::Unsat { .. } => {
-                query.record(&BlastOutcome::Unsat);
-                Satisfiability::Unsat
-            }
-            IncrementalVerdict::Abandoned(_) => {
-                cp_obs::event!(SolverEscalation {
-                    query: "sat".to_string(),
-                    stage: "exhaustive".to_string()
-                });
-                self.solver.exhaustive_model(full, &sc)
-            }
-        }
+        let query = Query::NonZero {
+            full: *full,
+            extras,
+        };
+        decide(query, &self.solver, &mut self.inc)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval_model;
     use cp_symexpr::eval::eval;
     use cp_symexpr::{BinOp, ExprBuild, SymExpr, Width};
 
@@ -490,7 +392,11 @@ mod tests {
             // between probes).
             let mut budget = 16u64;
             loop {
-                let mut probe = Cdcl::new(1 + 1 + 7 * 6, block(1 << 1));
+                let mut probe = Cdcl::new();
+                probe.ensure_vars(1 + 1 + 7 * 6);
+                for clause in block(1 << 1) {
+                    probe.add_clause(clause);
+                }
                 match probe.solve_under_assumptions(&[1 << 1], budget) {
                     SolveResult::Budget => budget *= 2,
                     SolveResult::Unsat { .. } => break budget,
@@ -504,7 +410,7 @@ mod tests {
         );
         let budget = standalone_cost * 2;
 
-        let mut sat = Cdcl::new(1, Vec::new());
+        let mut sat = Cdcl::new();
         let mut activations = Vec::new();
         let mut var_base = 1u32;
         for _ in 0..5 {
@@ -528,9 +434,11 @@ mod tests {
 
     #[test]
     fn equiv_session_matches_the_oneshot_ladder() {
-        // Both ladders share the process-wide verdict memo, which only ever
-        // serves definitive verdicts — so agreement must hold regardless of
-        // which of the two populates it first.
+        // `Solver::equivalent` runs the same ladder on a single-query
+        // session: the state the long-lived session carries from query to
+        // query must never change a verdict.  Both share the process-wide
+        // verdict memo, which only serves definitive verdicts, so agreement
+        // must hold whichever of the two populates it first.
         let solver = Solver::default();
         let mut session = EquivSession::new(solver);
         let pairs = [
@@ -561,7 +469,7 @@ mod tests {
                 (Equivalence::Proved, Equivalence::Proved)
                 | (Equivalence::Unknown, Equivalence::Unknown)
                 | (Equivalence::Refuted { .. }, Equivalence::Refuted { .. }) => {}
-                other => panic!("session and one-shot ladders disagree: {other:?}"),
+                other => panic!("long-lived and single-query sessions disagree: {other:?}"),
             }
         }
     }

@@ -5,7 +5,8 @@
 //!
 //! During translation (paper Section 3.3) Code Phage must decide whether a
 //! candidate recipient expression computes the same value as a donor
-//! expression.  The crate layers three mechanisms behind one API:
+//! expression, and during discovery whether a goal can be non-zero.  The
+//! crate layers three mechanisms behind one API:
 //!
 //! * a **disjoint-support fast path** ([`disjoint_support`]) — expressions
 //!   over disjoint input byte sets can only be equivalent if they are the
@@ -14,19 +15,21 @@
 //!   expressions under deterministic pseudo-random byte environments.
 //!   Sampling proves *in*equivalence (with a concrete witness) but can never
 //!   prove equality; and
-//! * a **real decision procedure** ([`Solver`]) that escalates from
-//!   structural equality through sampling to a bit-blasted SAT miter
-//!   ([`bitblast`] — every operator including division, via a restoring
-//!   divider) and, when the circuit exceeds its gate budget, an exhaustive
-//!   enumeration of the (small) input support.  Its verdicts form the
-//!   three-point lattice [`Equivalence::Proved`] /
+//! * a **real decision procedure** ([`Solver`]): one escalation ladder from
+//!   simplification through a process-wide verdict memo and sampling to a
+//!   bit-blasted SAT query ([`bitblast`] — every operator including
+//!   division, via a restoring divider) and, when the circuit exceeds its
+//!   budgets, an exhaustive enumeration of the (small) input support.  Its
+//!   verdicts form the three-point lattice [`Equivalence::Proved`] /
 //!   [`Equivalence::Refuted`] / [`Equivalence::Unknown`].
 //!
-//! Query *queues* over shared structure (translation proving many donor
-//! miters against one recipient cone, discovery re-solving one path prefix
-//! with a single constraint flipped) go through [`incremental`], which keeps
-//! one growing AIG + CNF + learned-clause DB alive across queries and decides
-//! each one under a per-query assumption set.
+//! Every query is bit-blasted on an [`incremental`] context, which keeps one
+//! growing AIG + CNF + learned-clause DB alive across queries and decides
+//! each one under a per-query assumption set.  Query *queues* over shared
+//! structure (translation proving many donor miters against one recipient
+//! cone, discovery re-solving one path prefix with a single constraint
+//! flipped) share one session; [`Solver::equivalent`] and [`Solver::solve`]
+//! run a single query on a throwaway one.
 //!
 //! The [`translate`] module uses [`Solver`] to map the `HachField` leaves of
 //! a donor check onto expressions the recipient itself computes, and
@@ -36,13 +39,15 @@
 pub mod bitblast;
 pub mod differential;
 pub mod incremental;
+mod ladder;
+mod memo;
 pub mod translate;
 
-use bitblast::{key_equiv, key_nonzero, solve_equiv, solve_nonzero, BlastLimits, BlastOutcome};
-pub use bitblast::{memo_stats as solver_memo_stats, reset_memo as reset_solver_memo, MemoStats};
+use bitblast::BlastLimits;
 use cp_symexpr::eval::{eval, eval_batch};
-use cp_symexpr::rewrite::simplify;
 use cp_symexpr::ExprRef;
+use incremental::{EquivSession, SatSession};
+pub use memo::{memo_stats as solver_memo_stats, reset_memo as reset_solver_memo, MemoStats};
 
 /// The verdict of an equivalence query — a three-point lattice.
 ///
@@ -147,14 +152,7 @@ fn eval_model(expr: &ExprRef, model: &[(usize, u8)]) -> u64 {
 /// whether they actually disagree — used to validate refutations before they
 /// are returned.
 fn witness_disagrees(a: &ExprRef, b: &ExprRef, witness: &[(usize, u8)]) -> bool {
-    let lookup = |offset: usize| {
-        witness
-            .iter()
-            .find(|(o, _)| *o == offset)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    eval(a, &lookup) != eval(b, &lookup)
+    eval_model(a, witness) != eval_model(b, witness)
 }
 
 /// A sparse byte model used as a sampling environment (absent offsets read
@@ -351,26 +349,14 @@ impl SampleSolver {
     }
 }
 
-/// The full equivalence decision procedure.
+/// The full decision procedure: the budgets of the solver's one escalation
+/// ladder.
 ///
 /// Escalation order (cheapest first; every stage is sound, later stages are
-/// progressively more complete):
-///
-/// 1. **structural** — hash-consed handles, and their [`simplify`]d forms,
-///    are compared by pointer;
-/// 2. **verdict memo** — the process-wide verdict memo is probed by a
-///    positional structural hash of the simplified expression DAG (one
-///    cheap walk, no gate construction): a batch sweep re-proving the same
-///    donor check answers repeats in one hash;
-/// 3. **sampling** — [`SampleSolver`] hunts for a cheap refutation witness
-///    (found witnesses are recorded into the memo);
-/// 4. **bit-blast** — the miter goes through CDCL: `Unsat` is a proof, a
-///    model is a (re-validated) witness; definitive verdicts are memoized;
-/// 5. **exhaustive enumeration** — when the blaster abandons (gate or
-///    conflict budget) and the union support is small enough that every
-///    byte environment fits in [`Solver::exhaustive_budget`] evaluations,
-///    enumeration decides the query exactly;
-/// 6. otherwise **Unknown**.
+/// progressively more complete): simplify, verdict memo, sampling,
+/// bit-blast + CDCL, exhaustive enumeration of small supports, otherwise
+/// `Unknown`.  [`Solver::equivalent`] and [`Solver::solve`] run one query on
+/// a throwaway session; [`incremental`]'s sessions run many on one context.
 #[derive(Debug, Clone, Copy)]
 pub struct Solver {
     /// Sampling refuter used as a pre-filter.
@@ -455,205 +441,24 @@ impl Solver {
             exhaustive_budget: budgets.exhaustive,
         }
     }
-}
 
-impl Solver {
-    /// Decides whether `a` and `b` denote the same value on every input.
+    /// Decides whether `a` and `b` denote the same value on every input, on
+    /// a single-query [`EquivSession`].
     ///
     /// Verdicts are over the expressions' `u64` values (narrower expressions
     /// compare zero-extended), matching the sampling semantics.  `Refuted`
     /// witnesses are always re-validated by evaluation before being
     /// returned.
     pub fn equivalent(&self, a: &ExprRef, b: &ExprRef) -> Equivalence {
-        if a == b {
-            return Equivalence::Proved;
-        }
-        let sa = simplify(a);
-        let sb = simplify(b);
-        if sa == sb {
-            return Equivalence::Proved;
-        }
-
-        // Probe the process-wide verdict memo by the simplified pair's
-        // positional expression-DAG key — one cheap walk, no circuit
-        // construction: across a batch sweep the same donor check is
-        // re-proved for scenario after scenario, and a hit answers before
-        // any sampling or gate building happens.
-        let query = key_equiv(&sa, &sb);
-        match query.probe(&self.limits) {
-            Some(BlastOutcome::Unsat) => return Equivalence::Proved,
-            // Defensive guard: a witness the original expressions do not
-            // actually disagree on is a solver bug, not a refutation; fall
-            // through to the full ladder.
-            Some(BlastOutcome::Sat(witness)) if witness_disagrees(a, b, &witness) => {
-                return Equivalence::Refuted { witness };
-            }
-            _ => {}
-        }
-
-        cp_obs::event!(SolverEscalation {
-            query: "equiv".to_string(),
-            stage: "sampling".to_string()
-        });
-        if let Equivalence::Refuted { witness } = self.sampler.equivalent(&sa, &sb) {
-            // A sampling witness is a model of the miter: record it so the
-            // next identical query skips sampling too.
-            query.cache_model(&witness);
-            return Equivalence::Refuted { witness };
-        }
-        if !sa.is_tainted() && !sb.is_tainted() {
-            // Input-independent and the single sampling evaluation agreed.
-            return Equivalence::Proved;
-        }
-
-        cp_obs::event!(SolverEscalation {
-            query: "equiv".to_string(),
-            stage: "bit-blast".to_string()
-        });
-        match solve_equiv(&sa, &sb, &self.limits, &query) {
-            BlastOutcome::Unsat => Equivalence::Proved,
-            BlastOutcome::Sat(witness) => {
-                if witness_disagrees(a, b, &witness) {
-                    Equivalence::Refuted { witness }
-                } else {
-                    Equivalence::Unknown
-                }
-            }
-            BlastOutcome::Abandoned(_) => {
-                cp_obs::event!(SolverEscalation {
-                    query: "equiv".to_string(),
-                    stage: "exhaustive".to_string()
-                });
-                self.exhaustive(&sa, &sb)
-            }
-        }
+        EquivSession::new(*self).equivalent(a, b)
     }
 
     /// Decides whether `cond` can evaluate non-zero on some input, and
-    /// extracts a full input-byte model when it can.
-    ///
-    /// This is the satisfiability entry point goal-directed discovery uses:
-    /// the same AIG → Tseitin → CDCL stack as [`equivalent`](Self::equivalent)
-    /// but with the satisfying assignment projected onto the input bytes
-    /// instead of being treated as a refutation witness.  Escalation order:
-    ///
-    /// 1. **constant fold** — a [`simplify`]d constant decides outright;
-    /// 2. **verdict memo** — the process-wide memo is probed by the goal's
-    ///    expression-DAG hash, before any sampling or circuit building;
-    /// 3. **sampling** — the seeded deterministic environment stream hunts
-    ///    for a cheap model (recorded into the memo when found; sampling
-    ///    also handles operators the blaster abandons);
-    /// 4. **bit-blast** — CDCL over the circuit: `Unsat` is a proof of
-    ///    unsatisfiability, a model is re-validated by evaluation;
-    /// 5. **exhaustive enumeration** over small supports when the blaster
-    ///    abandons; otherwise
-    /// 6. **Unknown**.
+    /// extracts a full input-byte model when it can, on a single-query
+    /// [`SatSession`].  This is the satisfiability entry point goal-directed
+    /// discovery uses; a `Sat` model is re-validated by evaluation.
     pub fn solve(&self, cond: &ExprRef) -> Satisfiability {
-        let sc = simplify(cond);
-        if let Some(value) = sc.as_const() {
-            return if value != 0 {
-                Satisfiability::Sat { model: Vec::new() }
-            } else {
-                Satisfiability::Unsat
-            };
-        }
-        // Probe the verdict memo by the goal's expression-DAG key before
-        // sampling; a batch sweep re-issues the same discovery goal for
-        // scenario after scenario, and a hit skips the whole sampling
-        // stream without building a single gate.
-        let query = key_nonzero(&sc);
-        match query.probe(&self.limits) {
-            Some(BlastOutcome::Unsat) => return Satisfiability::Unsat,
-            // Defensive guard: the model must satisfy the *original*
-            // condition; otherwise fall through to the full ladder.
-            Some(BlastOutcome::Sat(model)) if eval_model(cond, &model) != 0 => {
-                return Satisfiability::Sat { model };
-            }
-            _ => {}
-        }
-
-        cp_obs::event!(SolverEscalation {
-            query: "sat".to_string(),
-            stage: "sampling".to_string()
-        });
-        if let Some(model) = self.sampler.find_model(&sc) {
-            // Defensive: the model must satisfy the *original* condition.
-            if eval_model(cond, &model) != 0 {
-                // Record the sampling model so the next identical query
-                // probe-hits without sampling.
-                query.cache_model(&model);
-                return Satisfiability::Sat { model };
-            }
-        }
-        cp_obs::event!(SolverEscalation {
-            query: "sat".to_string(),
-            stage: "bit-blast".to_string()
-        });
-        match solve_nonzero(&sc, &self.limits, &query) {
-            BlastOutcome::Unsat => Satisfiability::Unsat,
-            BlastOutcome::Sat(model) => {
-                if eval_model(cond, &model) != 0 {
-                    Satisfiability::Sat { model }
-                } else {
-                    // A model the original condition rejects is a solver
-                    // bug, not a satisfying environment.
-                    Satisfiability::Unknown
-                }
-            }
-            BlastOutcome::Abandoned(_) => {
-                cp_obs::event!(SolverEscalation {
-                    query: "sat".to_string(),
-                    stage: "exhaustive".to_string()
-                });
-                self.exhaustive_model(cond, &sc)
-            }
-        }
-    }
-
-    /// Enumerates every byte environment over the support looking for a
-    /// model, when that fits in the budget.
-    fn exhaustive_model(&self, original: &ExprRef, cond: &ExprRef) -> Satisfiability {
-        let offsets: Vec<usize> = cond.support().iter().collect();
-        let k = offsets.len() as u32;
-        if k >= 8 || 256u64.saturating_pow(k) > self.exhaustive_budget {
-            return Satisfiability::Unknown;
-        }
-        let mut env: Vec<(usize, u8)> = offsets.iter().map(|&o| (o, 0)).collect();
-        let total = 256u64.pow(k);
-        for assignment in 0..total {
-            for (i, slot) in env.iter_mut().enumerate() {
-                slot.1 = (assignment >> (8 * i)) as u8;
-            }
-            if eval_model(cond, &env) != 0 && eval_model(original, &env) != 0 {
-                return Satisfiability::Sat { model: env };
-            }
-        }
-        Satisfiability::Unsat
-    }
-
-    /// Enumerates every byte environment over the union support, when that
-    /// fits in the budget.
-    fn exhaustive(&self, a: &ExprRef, b: &ExprRef) -> Equivalence {
-        let mut offsets: Vec<usize> = a.support().iter().chain(b.support().iter()).collect();
-        offsets.sort_unstable();
-        offsets.dedup();
-        // k = 8 would need 2^64 evaluations (and 256^8 overflows u64), so
-        // only supports of up to seven bytes are even considered.
-        let k = offsets.len() as u32;
-        if k >= 8 || 256u64.saturating_pow(k) > self.exhaustive_budget {
-            return Equivalence::Unknown;
-        }
-        let mut env: Vec<(usize, u8)> = offsets.iter().map(|&o| (o, 0)).collect();
-        let total = 256u64.pow(k);
-        for assignment in 0..total {
-            for (i, slot) in env.iter_mut().enumerate() {
-                slot.1 = (assignment >> (8 * i)) as u8;
-            }
-            if witness_disagrees(a, b, &env) {
-                return Equivalence::Refuted { witness: env };
-            }
-        }
-        Equivalence::Proved
+        SatSession::new(*self).solve(cond, std::slice::from_ref(cond))
     }
 }
 
