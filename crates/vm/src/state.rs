@@ -485,6 +485,40 @@ mod tests {
     }
 
     #[test]
+    fn bounds_check_finds_the_right_block_among_many_allocations() {
+        let mut state = MachineState::new(0);
+        let bases: Vec<u64> = (0..1000)
+            .map(|i| state.allocate(i % 37 + 1, u64::MAX).unwrap())
+            .collect();
+        let (base, size) = (bases[500], 500 % 37 + 1);
+        state.store(base, Width::W8, 1).unwrap();
+        state.load(base + size - 1, Width::W8).unwrap();
+        // Straddling the block's end, inside its guard gap, and past the
+        // last block are all out of bounds; below the heap is unmapped.
+        for (addr, width) in [
+            (base + size - 1, Width::W16),
+            (base + size + HEAP_GUARD / 2, Width::W8),
+            (bases[999] + 64, Width::W8),
+        ] {
+            assert_eq!(
+                state.load(addr, width),
+                Err(VmError::OutOfBounds {
+                    addr,
+                    len: width.bytes(),
+                    write: false
+                })
+            );
+        }
+        assert_eq!(
+            state.store(HEAP_BASE - 1, Width::W8, 0),
+            Err(VmError::UnmappedAccess {
+                addr: HEAP_BASE - 1,
+                write: true
+            })
+        );
+    }
+
+    #[test]
     fn allocation_size_cap() {
         let mut state = MachineState::new(0);
         assert!(matches!(
