@@ -30,7 +30,7 @@ pub mod vm;
 
 pub use error::VmError;
 pub use observer::{BranchEvent, NullObserver, Observer, StmtEndEvent};
-pub use state::{Allocation, MachineState, Snapshot, Value};
+pub use state::{Allocation, MachineState, Value};
 pub use vm::{run, run_with_observer, RunConfig, RunResult, Termination, Vm};
 
 /// Base address of the global data segment.

@@ -1,10 +1,29 @@
-//! Machine state: memory segments, shadow (symbolic) state, frames and heap.
+//! Machine state: paged memory with per-byte shadow and overflow bits,
+//! frames, operand stacks and the heap.
+//!
+//! Memory is a store of 4 KiB pages, committed on first write.  Pages below
+//! the end of the stack segment (the globals and the stack, both contiguous
+//! and bounded) sit in a directly indexed table; heap pages are kept sparse,
+//! keyed by page number, so a large allocation commits nothing until it is
+//! written.  Besides its bytes, each page holds two bitsets with one bit per
+//! byte:
+//!
+//! * `overflowed` — the byte belongs to a stored value whose computation
+//!   wrapped (the sticky overflow flag of [`Value`]);
+//! * `covered` — the byte lies inside some symbolic shadow entry.
+//!
+//! Shadow entries live in a map keyed by start address, and at most one
+//! entry covers any byte.  The `covered` bits mirror that map exactly, which
+//! lets untainted accesses skip the map altogether: a load whose bytes are
+//! all uncovered has no shadow, and a store over uncovered bytes evicts
+//! nothing.
 
 use crate::error::VmError;
 use crate::{GLOBAL_BASE, HEAP_BASE, HEAP_GUARD, STACK_BASE, STACK_SIZE};
 use cp_symexpr::bytes::{recompose, ByteVal};
 use cp_symexpr::{BinOp, ExprBuild, ExprRef, SymExpr, Width};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
 /// A concrete runtime value on the operand stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,68 +97,200 @@ pub struct Frame {
     pub operand_base: usize,
 }
 
-/// A snapshot of the memory-visible machine state, taken at a program point.
-///
-/// Code Phage's insertion analysis (paper Section 3.3) needs, at each candidate
-/// insertion point, the values and symbolic expressions reachable from the
-/// variables in scope; the snapshot captures exactly the state that traversal
-/// reads: concrete memory, the symbolic shadow of stored values, the live heap
-/// allocations and the base address of the current frame.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    /// Concrete contents of every written address.
-    pub memory: HashMap<u64, u8>,
-    /// Symbolic shadow of stored values, keyed by start address.
-    pub shadow: HashMap<u64, (Width, ExprRef)>,
-    /// Live heap allocations.
-    pub allocations: Vec<Allocation>,
-    /// Frame base address of the function executing when the snapshot was
-    /// taken.
-    pub frame_base: u64,
-    /// Base address of the global segment.
-    pub globals_base: u64,
-    /// Size of the global segment in bytes.
-    pub globals_size: usize,
+/// log2 of the page size.
+const PAGE_BITS: u32 = 12;
+/// Bytes per page.
+const PAGE_SIZE: usize = 1 << PAGE_BITS;
+/// Words in a page's per-byte bitsets.
+const BITSET_WORDS: usize = PAGE_SIZE / 64;
+/// Pages indexed directly: every page below the end of the stack segment,
+/// which covers the globals and the stack.
+const LOW_PAGES: usize = ((STACK_BASE + STACK_SIZE) >> PAGE_BITS) as usize;
+
+/// One 4 KiB page: its bytes and two per-byte bitsets.
+#[derive(Clone)]
+struct Page {
+    bytes: [u8; PAGE_SIZE],
+    overflowed: [u64; BITSET_WORDS],
+    covered: [u64; BITSET_WORDS],
 }
 
-impl Snapshot {
-    /// Reads a little-endian value of the given width, if every byte has been
-    /// written.
-    pub fn load(&self, addr: u64, width: Width) -> Option<u64> {
-        let mut value: u64 = 0;
-        for i in 0..width.bytes() {
-            let byte = *self.memory.get(&(addr + i as u64))?;
-            value |= (byte as u64) << (8 * i);
+/// The bits for bytes `[offset, offset + len)` of a page, as (word, mask)
+/// pairs; `len` is at most 8, so the range spans at most two words.
+fn bit_masks(offset: usize, len: usize) -> [(usize, u64); 2] {
+    let (word, bit) = (offset / 64, offset % 64);
+    let ones = (1u64 << len) - 1;
+    let spill = if bit + len > 64 {
+        ones >> (64 - bit)
+    } else {
+        0
+    };
+    [
+        (word, ones << bit),
+        ((word + 1).min(BITSET_WORDS - 1), spill),
+    ]
+}
+
+fn any_bit(bits: &[u64; BITSET_WORDS], offset: usize, len: usize) -> bool {
+    bit_masks(offset, len)
+        .iter()
+        .any(|&(word, mask)| bits[word] & mask != 0)
+}
+
+fn set_bits(bits: &mut [u64; BITSET_WORDS], offset: usize, len: usize, on: bool) {
+    for (word, mask) in bit_masks(offset, len) {
+        if on {
+            bits[word] |= mask;
+        } else {
+            bits[word] &= !mask;
         }
-        Some(value)
+    }
+}
+
+/// Splits the (at most 8-byte) range `[addr, addr + len)` at a page
+/// boundary into `(page number, offset in page, length)` pieces: one, or two
+/// when the range straddles pages.
+fn pieces(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+    let page = addr >> PAGE_BITS;
+    let offset = (addr & (PAGE_SIZE as u64 - 1)) as usize;
+    let first = len.min(PAGE_SIZE - offset);
+    [(page, offset, first), (page + 1, 0, len - first)]
+        .into_iter()
+        .filter(|&(_, _, n)| n > 0)
+}
+
+/// Byte memory as a store of lazily committed pages.  Uncommitted bytes read
+/// as zero, uncovered and not overflowed.
+#[derive(Clone)]
+struct PageStore {
+    /// Pages below [`LOW_PAGES`], indexed by page number.
+    low: Vec<Option<Box<Page>>>,
+    /// Every other page (the heap), keyed by page number.
+    high: BTreeMap<u64, Box<Page>>,
+}
+
+impl PageStore {
+    fn new() -> Self {
+        PageStore {
+            low: vec![None; LOW_PAGES],
+            high: BTreeMap::new(),
+        }
     }
 
-    /// The symbolic expression recorded for the value stored at `addr`, if
-    /// any.
-    pub fn shadow_at(&self, addr: u64) -> Option<&(Width, ExprRef)> {
-        self.shadow.get(&addr)
+    fn page(&self, number: u64) -> Option<&Page> {
+        if number < LOW_PAGES as u64 {
+            self.low[number as usize].as_deref()
+        } else {
+            self.high.get(&number).map(|page| &**page)
+        }
     }
 
-    /// Whether `addr` points into a live allocation, the stack or the globals.
-    pub fn is_mapped(&self, addr: u64) -> bool {
-        if (GLOBAL_BASE..GLOBAL_BASE + self.globals_size as u64).contains(&addr)
-            || (STACK_BASE..STACK_BASE + STACK_SIZE).contains(&addr)
-        {
-            return true;
+    fn page_mut(&mut self, number: u64) -> Option<&mut Page> {
+        if number < LOW_PAGES as u64 {
+            self.low[number as usize].as_deref_mut()
+        } else {
+            self.high.get_mut(&number).map(|page| &mut **page)
         }
-        self.allocations.iter().any(|a| a.contains_range(addr, 1))
+    }
+
+    /// The page, committing it (zeroed) on first use.
+    fn commit(&mut self, number: u64) -> &mut Page {
+        if number < LOW_PAGES as u64 {
+            self.low[number as usize].get_or_insert_with(Page::zeroed)
+        } else {
+            self.high.entry(number).or_insert_with(Page::zeroed)
+        }
+    }
+
+    fn read(&self, addr: u64, len: usize) -> u64 {
+        let mut value = 0;
+        let mut shift = 0;
+        for (number, offset, n) in pieces(addr, len) {
+            if let Some(page) = self.page(number) {
+                for (i, &byte) in page.bytes[offset..offset + n].iter().enumerate() {
+                    value |= (byte as u64) << (shift + 8 * i);
+                }
+            }
+            shift += 8 * n;
+        }
+        value
+    }
+
+    fn write(&mut self, addr: u64, len: usize, mut value: u64) {
+        for (number, offset, n) in pieces(addr, len) {
+            let page = self.commit(number);
+            for byte in &mut page.bytes[offset..offset + n] {
+                *byte = value as u8;
+                value >>= 8;
+            }
+        }
+    }
+
+    fn any(&self, bits: fn(&Page) -> &[u64; BITSET_WORDS], addr: u64, len: usize) -> bool {
+        pieces(addr, len).any(|(number, offset, n)| {
+            self.page(number)
+                .is_some_and(|p| any_bit(bits(p), offset, n))
+        })
+    }
+
+    /// Sets or clears a bit range; clearing never commits a page.
+    fn set(
+        &mut self,
+        bits: fn(&mut Page) -> &mut [u64; BITSET_WORDS],
+        addr: u64,
+        len: usize,
+        on: bool,
+    ) {
+        for (number, offset, n) in pieces(addr, len) {
+            let page = if on {
+                Some(self.commit(number))
+            } else {
+                self.page_mut(number)
+            };
+            if let Some(page) = page {
+                set_bits(bits(page), offset, n, on);
+            }
+        }
+    }
+
+    fn any_covered(&self, addr: u64, len: usize) -> bool {
+        self.any(|p| &p.covered, addr, len)
+    }
+
+    fn set_covered(&mut self, addr: u64, len: usize, on: bool) {
+        self.set(|p| &mut p.covered, addr, len, on);
+    }
+}
+
+impl Page {
+    fn zeroed() -> Box<Page> {
+        Box::new(Page {
+            bytes: [0; PAGE_SIZE],
+            overflowed: [0; BITSET_WORDS],
+            covered: [0; BITSET_WORDS],
+        })
+    }
+}
+
+impl fmt::Debug for PageStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let low = self.low.iter().filter(|page| page.is_some()).count();
+        f.debug_struct("PageStore")
+            .field("committed_pages", &(low + self.high.len()))
+            .finish()
     }
 }
 
 /// The complete mutable state of a running VM.
 #[derive(Debug, Clone)]
 pub struct MachineState {
-    /// Sparse byte memory covering all segments.
-    pub memory: HashMap<u64, u8>,
-    /// Symbolic shadow of stored values, keyed by start address.
-    pub shadow: HashMap<u64, (Width, ExprRef)>,
-    /// Addresses holding values whose computation overflowed.
-    pub overflowed_addrs: std::collections::HashSet<u64>,
+    /// Paged byte memory covering all segments, with each byte's
+    /// `overflowed` and `covered` bits.
+    memory: PageStore,
+    /// Symbolic shadow of stored values, keyed by start address.  At most
+    /// one entry covers any byte, and a byte's `covered` bit is set exactly
+    /// when an entry covers it.
+    shadow: HashMap<u64, (Width, ExprRef)>,
     /// Live heap allocations, sorted by base address.
     pub allocations: Vec<Allocation>,
     /// Next free heap address.
@@ -167,9 +318,8 @@ impl MachineState {
     /// segment size.
     pub fn new(globals_size: usize) -> Self {
         MachineState {
-            memory: HashMap::new(),
+            memory: PageStore::new(),
             shadow: HashMap::new(),
-            overflowed_addrs: std::collections::HashSet::new(),
             allocations: Vec::new(),
             heap_top: HEAP_BASE,
             stack_top: STACK_BASE,
@@ -208,7 +358,10 @@ impl MachineState {
             return Ok(());
         }
         if addr >= HEAP_BASE {
-            if self.allocations.iter().any(|a| a.contains_range(addr, len)) {
+            // Allocations are disjoint and sorted by base, so only the last
+            // one starting at or below `addr` can contain the access.
+            let after = self.allocations.partition_point(|a| a.base <= addr);
+            if after > 0 && self.allocations[after - 1].contains_range(addr, len) {
                 return Ok(());
             }
             return Err(VmError::OutOfBounds { addr, len, write });
@@ -223,10 +376,7 @@ impl MachineState {
     /// Returns the out-of-bounds / unmapped error for invalid addresses.
     pub fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), VmError> {
         self.check_access(addr, width.bytes(), true)?;
-        for i in 0..width.bytes() {
-            self.memory
-                .insert(addr + i as u64, ((value >> (8 * i)) & 0xFF) as u8);
-        }
+        self.memory.write(addr, width.bytes(), value);
         Ok(())
     }
 
@@ -237,12 +387,7 @@ impl MachineState {
     /// Returns the out-of-bounds / unmapped error for invalid addresses.
     pub fn load(&mut self, addr: u64, width: Width) -> Result<u64, VmError> {
         self.check_access(addr, width.bytes(), false)?;
-        let mut value: u64 = 0;
-        for i in 0..width.bytes() {
-            let byte = self.memory.get(&(addr + i as u64)).copied().unwrap_or(0);
-            value |= (byte as u64) << (8 * i);
-        }
-        Ok(value)
+        Ok(self.memory.read(addr, width.bytes()))
     }
 
     /// Records the symbolic shadow of a stored value (or clears it).
@@ -256,7 +401,30 @@ impl MachineState {
     /// maintains the invariant that at most one entry covers any byte, which
     /// [`MachineState::load_shadow`] relies on.
     pub fn set_shadow(&mut self, addr: u64, width: Width, expr: Option<ExprRef>) {
-        let end = addr + width.bytes() as u64;
+        let len = width.bytes();
+        let end = addr + len as u64;
+        // No covered byte in the range: nothing to evict.
+        if !self.memory.any_covered(addr, len) {
+            if let Some(expr) = expr {
+                self.shadow.insert(addr, (width, expr));
+                self.memory.set_covered(addr, len, true);
+            }
+            return;
+        }
+        // An entry of exactly this extent is the only one covering the
+        // range, and no byte of it survives the store.
+        if let Some(entry) = self.shadow.get_mut(&addr) {
+            if entry.0 == width {
+                match expr {
+                    Some(expr) => entry.1 = expr,
+                    None => {
+                        self.shadow.remove(&addr);
+                        self.memory.set_covered(addr, len, false);
+                    }
+                }
+                return;
+            }
+        }
         // Entries start at most 7 bytes before `addr` (the widest value is 8
         // bytes), and any entry starting inside the range overlaps.
         let mut evicted: Vec<(u64, Width, ExprRef)> = Vec::new();
@@ -276,6 +444,7 @@ impl MachineState {
         }
         // Re-shadow the surviving bytes of evicted entries, byte by byte.
         for (start, w, e) in evicted {
+            self.memory.set_covered(start, w.bytes(), false);
             for offset in 0..w.bytes() as u64 {
                 let byte_addr = start + offset;
                 if (addr..end).contains(&byte_addr) {
@@ -288,21 +457,21 @@ impl MachineState {
                 };
                 self.shadow
                     .insert(byte_addr, (Width::W8, byte.truncate(Width::W8)));
+                self.memory.set_covered(byte_addr, 1, true);
             }
         }
         if let Some(expr) = expr {
             self.shadow.insert(addr, (width, expr));
+            self.memory.set_covered(addr, len, true);
         }
-    }
-
-    /// The symbolic shadow recorded at `addr`, if any.
-    pub fn shadow_at(&self, addr: u64) -> Option<&(Width, ExprRef)> {
-        self.shadow.get(&addr)
     }
 
     /// The 8-bit symbolic expression describing the single byte at `addr`,
     /// extracted from whichever shadow entry covers it.
     fn shadow_byte(&self, addr: u64) -> Option<ExprRef> {
+        if !self.memory.any_covered(addr, 1) {
+            return None;
+        }
         for start in addr.saturating_sub(7)..=addr {
             let Some((width, expr)) = self.shadow.get(&start) else {
                 continue;
@@ -329,47 +498,34 @@ impl MachineState {
     /// covering entry, with untainted bytes contributed as the constants
     /// currently in memory.  Returns `None` when no loaded byte is tainted.
     pub fn load_shadow(&self, addr: u64, width: Width) -> Option<ExprRef> {
+        if !self.memory.any_covered(addr, width.bytes()) {
+            return None;
+        }
         if let Some((w, expr)) = self.shadow.get(&addr) {
             if *w == width {
                 return Some(*expr);
             }
         }
         let mut bytes = Vec::with_capacity(width.bytes());
-        let mut tainted = false;
         for i in 0..width.bytes() {
             let byte_addr = addr + i as u64;
-            match self.shadow_byte(byte_addr) {
-                Some(expr) => {
-                    tainted = true;
-                    bytes.push(ByteVal::Sym(expr));
-                }
-                None => {
-                    let concrete = self.memory.get(&byte_addr).copied().unwrap_or(0);
-                    bytes.push(ByteVal::Known(concrete));
-                }
-            }
+            bytes.push(match self.shadow_byte(byte_addr) {
+                Some(expr) => ByteVal::Sym(expr),
+                None => ByteVal::Known(self.memory.read(byte_addr, 1) as u8),
+            });
         }
-        if tainted {
-            Some(recompose(&bytes, width))
-        } else {
-            None
-        }
+        Some(recompose(&bytes, width))
     }
 
     /// Marks or clears the overflow flag for a stored value.
     pub fn set_overflowed(&mut self, addr: u64, width: Width, overflowed: bool) {
-        for i in 0..width.bytes() {
-            if overflowed {
-                self.overflowed_addrs.insert(addr + i as u64);
-            } else {
-                self.overflowed_addrs.remove(&(addr + i as u64));
-            }
-        }
+        self.memory
+            .set(|p| &mut p.overflowed, addr, width.bytes(), overflowed);
     }
 
     /// Whether any byte of `[addr, addr+width)` holds an overflowed value.
     pub fn is_overflowed(&self, addr: u64, width: Width) -> bool {
-        (0..width.bytes()).any(|i| self.overflowed_addrs.contains(&(addr + i as u64)))
+        self.memory.any(|p| &p.overflowed, addr, width.bytes())
     }
 
     /// Performs a heap allocation of `size` bytes and returns its base
@@ -424,23 +580,6 @@ impl MachineState {
         let frame = self.frames.pop()?;
         self.stack_top = frame.frame_base;
         Some(frame)
-    }
-
-    /// Takes a snapshot of the memory-visible state for insertion-point
-    /// analysis.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            memory: self.memory.clone(),
-            shadow: self.shadow.clone(),
-            allocations: self.allocations.clone(),
-            frame_base: self
-                .frames
-                .last()
-                .map(|f| f.frame_base)
-                .unwrap_or(STACK_BASE),
-            globals_base: GLOBAL_BASE,
-            globals_size: self.globals_size,
-        }
     }
 }
 
@@ -552,19 +691,6 @@ mod tests {
         state.pop_frame();
         let base3 = state.push_frame(2, 8, 0).unwrap().frame_base;
         assert_eq!(base3, base2);
-    }
-
-    #[test]
-    fn snapshot_captures_shadow_state() {
-        let mut state = MachineState::new(16);
-        state.push_frame(0, 8, 0).unwrap();
-        state.store(GLOBAL_BASE, Width::W16, 7).unwrap();
-        state.set_shadow(GLOBAL_BASE, Width::W16, Some(SymExpr::input_byte(3)));
-        let snap = state.snapshot();
-        assert_eq!(snap.load(GLOBAL_BASE, Width::W16), Some(7));
-        assert!(snap.shadow_at(GLOBAL_BASE).is_some());
-        assert!(snap.is_mapped(GLOBAL_BASE));
-        assert!(!snap.is_mapped(HEAP_BASE + 100));
     }
 
     #[test]
