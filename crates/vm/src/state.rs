@@ -115,8 +115,20 @@ struct Page {
     covered: [u64; BITSET_WORDS],
 }
 
+impl Page {
+    fn zeroed() -> Box<Page> {
+        Box::new(Page {
+            bytes: [0; PAGE_SIZE],
+            overflowed: [0; BITSET_WORDS],
+            covered: [0; BITSET_WORDS],
+        })
+    }
+}
+
 /// The bits for bytes `[offset, offset + len)` of a page, as (word, mask)
-/// pairs; `len` is at most 8, so the range spans at most two words.
+/// pairs; `len` is at most 8, so the range spans at most two words.  The
+/// second mask is zero unless the range crosses into the next word (its
+/// index is clamped to stay in bounds).
 fn bit_masks(offset: usize, len: usize) -> [(usize, u64); 2] {
     let (word, bit) = (offset / 64, offset % 64);
     let ones = (1u64 << len) - 1;
@@ -259,16 +271,6 @@ impl PageStore {
 
     fn set_covered(&mut self, addr: u64, len: usize, on: bool) {
         self.set(|p| &mut p.covered, addr, len, on);
-    }
-}
-
-impl Page {
-    fn zeroed() -> Box<Page> {
-        Box::new(Page {
-            bytes: [0; PAGE_SIZE],
-            overflowed: [0; BITSET_WORDS],
-            covered: [0; BITSET_WORDS],
-        })
     }
 }
 
@@ -664,6 +666,21 @@ mod tests {
             state.allocate(1 << 40, 1 << 30),
             Err(VmError::AllocationTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn heap_pages_are_committed_only_when_written() {
+        let mut state = MachineState::new(0);
+        let base = state.allocate(1 << 30, 1 << 30).unwrap();
+        assert!(state.memory.high.is_empty());
+        // Reads and cleared flags leave untouched pages uncommitted.
+        assert_eq!(state.load(base + (1 << 29), Width::W64).unwrap(), 0);
+        state.set_overflowed(base + (1 << 29), Width::W64, false);
+        state.set_shadow(base + (1 << 29), Width::W64, None);
+        assert!(state.memory.high.is_empty());
+        state.store(base, Width::W64, 1).unwrap();
+        state.store(base + (1 << 30) - 8, Width::W64, 2).unwrap();
+        assert_eq!(state.memory.high.len(), 2);
     }
 
     #[test]
