@@ -404,28 +404,26 @@ impl MachineState {
     /// [`MachineState::load_shadow`] relies on.
     pub fn set_shadow(&mut self, addr: u64, width: Width, expr: Option<ExprRef>) {
         let len = width.bytes();
-        let end = addr + len as u64;
-        // No covered byte in the range: nothing to evict.
-        if !self.memory.any_covered(addr, len) {
-            if let Some(expr) = expr {
-                self.shadow.insert(addr, (width, expr));
-                self.memory.set_covered(addr, len, true);
-            }
-            return;
+        // Only entries covering some byte of the range overlap it.
+        if self.memory.any_covered(addr, len) {
+            self.evict(addr, width);
         }
+        if let Some(expr) = expr {
+            self.shadow.insert(addr, (width, expr));
+            self.memory.set_covered(addr, len, true);
+        }
+    }
+
+    /// Removes every shadow entry overlapping `[addr, addr + width)`,
+    /// re-shadowing the bytes of those entries outside the range.
+    fn evict(&mut self, addr: u64, width: Width) {
+        let end = addr + width.bytes() as u64;
         // An entry of exactly this extent is the only one covering the
-        // range, and no byte of it survives the store.
-        if let Some(entry) = self.shadow.get_mut(&addr) {
-            if entry.0 == width {
-                match expr {
-                    Some(expr) => entry.1 = expr,
-                    None => {
-                        self.shadow.remove(&addr);
-                        self.memory.set_covered(addr, len, false);
-                    }
-                }
-                return;
-            }
+        // range, and none of its bytes survive.
+        if self.shadow.get(&addr).is_some_and(|&(w, _)| w == width) {
+            self.shadow.remove(&addr);
+            self.memory.set_covered(addr, width.bytes(), false);
+            return;
         }
         // Entries start at most 7 bytes before `addr` (the widest value is 8
         // bytes), and any entry starting inside the range overlaps.
@@ -461,10 +459,6 @@ impl MachineState {
                     .insert(byte_addr, (Width::W8, byte.truncate(Width::W8)));
                 self.memory.set_covered(byte_addr, 1, true);
             }
-        }
-        if let Some(expr) = expr {
-            self.shadow.insert(addr, (width, expr));
-            self.memory.set_covered(addr, len, true);
         }
     }
 

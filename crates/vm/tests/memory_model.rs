@@ -14,11 +14,12 @@ use cp_symexpr::{ArenaEpoch, BinOp, ExprBuild, ExprRef, SymExpr, Width};
 use cp_vm::{MachineState, VmError, GLOBAL_BASE, HEAP_BASE, STACK_BASE, STACK_SIZE};
 use std::collections::{HashMap, HashSet};
 
-/// Size of the global segment: one byte past a 4 KiB page boundary and then
-/// some, so accesses near `GLOBAL_BASE + 0x1000` straddle two pages.
+/// Size of the global segment: it extends 64 bytes past the 4 KiB page
+/// boundary at `GLOBAL_BASE + 0x1000`, so accesses there straddle two pages.
 const GLOBALS_SIZE: usize = 0x1000 + 64;
 
 /// The reference memory model.
+#[derive(Default)]
 struct Model {
     memory: HashMap<u64, u8>,
     shadow: HashMap<u64, (Width, ExprRef)>,
@@ -204,12 +205,7 @@ fn run_sequence(seed: u64, ops: usize) {
     let _epoch = ArenaEpoch::begin();
     let mut rng = Rng(seed);
     let mut state = MachineState::new(GLOBALS_SIZE);
-    let mut model = Model {
-        memory: HashMap::new(),
-        shadow: HashMap::new(),
-        overflowed: HashSet::new(),
-        allocations: Vec::new(),
-    };
+    let mut model = Model::default();
     // A two-page heap block whose interior crosses a page boundary, then a
     // run of small blocks separated by guard gaps.
     for size in [0x2000u64, 24, 8, 1, 40, 3] {
@@ -308,12 +304,7 @@ fn memory_matches_reference_model() {
 fn heap_bounds_errors_match_reference_model_across_many_allocations() {
     let mut rng = Rng(7);
     let mut state = MachineState::new(0);
-    let mut model = Model {
-        memory: HashMap::new(),
-        shadow: HashMap::new(),
-        overflowed: HashSet::new(),
-        allocations: Vec::new(),
-    };
+    let mut model = Model::default();
     for _ in 0..300 {
         let size = rng.below(100);
         let base = state.allocate(size, u64::MAX).unwrap();
