@@ -21,6 +21,13 @@
 //! satisfy from the stack adds that temp to the spill set and restarts.  Each
 //! restart grows the set, so the loop terminates.
 //!
+//! The spill set and the slot table are dense, indexed by temp, and slots
+//! are handed out in ascending temp order, so the frame layout is
+//! deterministic without an ordered map.  The use counts are computed once
+//! per function and shared by the spill analysis and every attempt, and the
+//! instruction stream is pre-sized from the IR, so a function that needs no
+//! restart emits with a handful of allocations.
+//!
 //! A definition whose destination is spilled needs its `FrameAddr` pushed
 //! *below* the computed value (the machine's `Store` pops value, then
 //! address, and there is no swap instruction), so all operands of such a
@@ -42,7 +49,6 @@ use crate::instr::{Instr, Intrinsic};
 use crate::program::{CompiledFunction, CompiledProgram, ParamSlot};
 use cp_ir::{Block, BlockId, Inst, InstKind, IrFunction, OptLevel, Temp, Terminator};
 use cp_lang::{AnalyzedProgram, BlockDebug};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Options for [`compile_with_opts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,16 +105,19 @@ pub fn compile_with_opts(
 struct NeedSpill(Vec<Temp>);
 
 fn emit_function(function: &IrFunction, opt: OptLevel) -> (CompiledFunction, Vec<BlockDebug>) {
-    let mut spilled = initial_spills(function);
+    let use_counts = function.use_counts();
+    let mut spilled = initial_spills(function, &use_counts);
     loop {
-        let mut emitter = Emitter::new(function, opt, &spilled);
+        let mut emitter = Emitter::new(function, opt, &spilled, &use_counts);
         match emitter.run() {
             Ok(()) => return emitter.finish(),
             Err(NeedSpill(temps)) => {
-                let before = spilled.len();
-                spilled.extend(temps);
+                let mut progress = false;
+                for t in temps {
+                    progress |= !std::mem::replace(&mut spilled[t as usize], true);
+                }
                 assert!(
-                    spilled.len() > before,
+                    progress,
                     "emission made no progress spilling in `{}`",
                     function.name
                 );
@@ -117,25 +126,19 @@ fn emit_function(function: &IrFunction, opt: OptLevel) -> (CompiledFunction, Vec
     }
 }
 
-/// Temps that can never live purely on the operand stack: used more than
-/// once, or used outside their defining block.
-fn initial_spills(function: &IrFunction) -> BTreeSet<Temp> {
-    let uses = function.use_counts();
+/// Temps that can never live purely on the operand stack — used more than
+/// once, or used outside their defining block — as a per-temp flag.
+fn initial_spills(function: &IrFunction, uses: &[usize]) -> Vec<bool> {
     let defs = function.def_blocks();
-    let mut spills = BTreeSet::new();
-    for (temp, &count) in uses.iter().enumerate() {
-        if count > 1 {
-            spills.insert(temp as Temp);
-        }
-    }
+    let mut spills: Vec<bool> = uses.iter().map(|&count| count > 1).collect();
     for (id, block) in function.blocks.iter().enumerate() {
         let mut cross = |t: Temp| {
             if defs[t as usize] != Some(id) {
-                spills.insert(t);
+                spills[t as usize] = true;
             }
         };
         for inst in &block.insts {
-            for t in inst.kind.operands() {
+            for &t in inst.kind.operands().iter() {
                 cross(t);
             }
         }
@@ -149,8 +152,8 @@ fn initial_spills(function: &IrFunction) -> BTreeSet<Temp> {
 struct Emitter<'a> {
     f: &'a IrFunction,
     opt: OptLevel,
-    /// Spilled temp → frame slot offset.
-    slots: BTreeMap<Temp, usize>,
+    /// Frame slot offset of each spilled temp, indexed by temp.
+    slots: Vec<Option<usize>>,
     frame_size: usize,
     code: Vec<Instr>,
     stmt_map: Vec<Option<usize>>,
@@ -158,7 +161,7 @@ struct Emitter<'a> {
     /// The operand-stack model: unspilled temps whose values are live on the
     /// stack, bottom first.
     model: Vec<Temp>,
-    use_counts: Vec<usize>,
+    use_counts: &'a [usize],
     /// Start pc of each block, by block id.
     block_pcs: Vec<usize>,
     /// `(code index, target block)` pairs to patch once all pcs are known.
@@ -166,29 +169,46 @@ struct Emitter<'a> {
 }
 
 impl<'a> Emitter<'a> {
-    fn new(function: &'a IrFunction, opt: OptLevel, spilled: &BTreeSet<Temp>) -> Self {
+    fn new(
+        function: &'a IrFunction,
+        opt: OptLevel,
+        spilled: &[bool],
+        use_counts: &'a [usize],
+    ) -> Self {
         // Spill slots live past the source frame, 8 bytes each, assigned in
-        // temp order so layout is deterministic.
+        // ascending temp order so layout is deterministic.
         let base = function.frame_size.div_ceil(8) * 8;
-        let slots: BTreeMap<Temp, usize> = spilled
+        let mut next = base;
+        let slots: Vec<Option<usize>> = spilled
             .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, base + 8 * i))
+            .map(|&spill| {
+                spill.then(|| {
+                    next += 8;
+                    next - 8
+                })
+            })
             .collect();
-        let frame_size = base + 8 * slots.len();
+        // Every instruction emits at least one bytecode, and most blocks end
+        // in a jump or branch.
+        let capacity = function.inst_count() + 2 * function.blocks.len();
         Emitter {
             f: function,
             opt,
             slots,
-            frame_size,
-            code: Vec::new(),
-            stmt_map: Vec::new(),
+            frame_size: next,
+            code: Vec::with_capacity(capacity),
+            stmt_map: Vec::with_capacity(capacity),
             current_stmt: None,
             model: Vec::new(),
-            use_counts: function.use_counts(),
+            use_counts,
             block_pcs: vec![0; function.blocks.len()],
             fixups: Vec::new(),
         }
+    }
+
+    /// The frame slot of `temp`, if it is spilled.
+    fn slot(&self, temp: Temp) -> Option<usize> {
+        self.slots[temp as usize]
     }
 
     fn emit(&mut self, instr: Instr) -> usize {
@@ -236,7 +256,7 @@ impl<'a> Emitter<'a> {
                         _ => None,
                     })
                     .collect(),
-                succs: b.term.successors(),
+                succs: b.term.successors().to_vec(),
             })
             .collect();
         let compiled = CompiledFunction {
@@ -261,7 +281,7 @@ impl<'a> Emitter<'a> {
 
     /// Pushes a spilled temp's value back onto the stack.
     fn reload(&mut self, temp: Temp) {
-        let offset = self.slots[&temp];
+        let offset = self.slot(temp).expect("reloaded temp is spilled");
         self.emit(Instr::FrameAddr { offset });
         self.emit(Instr::Load {
             width: self.f.width(temp),
@@ -286,7 +306,7 @@ impl<'a> Emitter<'a> {
         let missing: Vec<Temp> = ops[prefix..]
             .iter()
             .copied()
-            .filter(|t| !self.slots.contains_key(t))
+            .filter(|&t| self.slot(t).is_none())
             .collect();
         if !missing.is_empty() {
             return Err(NeedSpill(missing));
@@ -374,20 +394,20 @@ impl<'a> Emitter<'a> {
             self.emit_op(kind);
             return Ok(());
         };
-        if let Some(&slot) = self.slots.get(&dst) {
+        if let Some(slot) = self.slot(dst) {
             // Spilled destination: the store address must sit below the
             // value, so reload every operand instead of taking any from the
             // stack (the cascade described in the module docs).
             let missing: Vec<Temp> = ops
                 .iter()
                 .copied()
-                .filter(|t| !self.slots.contains_key(t))
+                .filter(|&t| self.slot(t).is_none())
                 .collect();
             if !missing.is_empty() {
                 return Err(NeedSpill(missing));
             }
             self.emit(Instr::FrameAddr { offset: slot });
-            for &t in &ops {
+            for &t in ops.iter() {
                 self.reload(t);
             }
             match kind {
@@ -404,7 +424,7 @@ impl<'a> Emitter<'a> {
             // A copy is a rename when its source is on top of the stack.
             if self.model.last() == Some(src) {
                 self.model.pop();
-            } else if self.slots.contains_key(src) {
+            } else if self.slot(*src).is_some() {
                 self.reload(*src);
             } else {
                 return Err(NeedSpill(vec![*src]));
@@ -425,7 +445,7 @@ impl<'a> Emitter<'a> {
     fn materialize_operand(&mut self, temp: Temp) -> Result<(), NeedSpill> {
         if self.model.last() == Some(&temp) {
             self.model.pop();
-        } else if self.slots.contains_key(&temp) {
+        } else if self.slot(temp).is_some() {
             self.reload(temp);
         } else {
             return Err(NeedSpill(vec![temp]));

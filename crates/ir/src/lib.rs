@@ -36,6 +36,7 @@ pub use lower::{lower, LowerError};
 pub use opt::optimize;
 
 use cp_symexpr::{BinOp, CastKind, UnOp, Width};
+use std::ops::Deref;
 
 /// How much optimization to run between lowering and emission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,6 +98,50 @@ impl Intrinsic {
         }
     }
 }
+
+/// A short run of values that never allocates: up to two held inline, or
+/// a borrowed slice.  Derefs to `[T]`.
+#[derive(Debug, Clone, Copy)]
+pub enum SmallList<'a, T> {
+    /// The first `len` of `items`.
+    Inline {
+        /// Storage; entries past `len` are padding.
+        items: [T; 2],
+        /// How many of `items` are live.
+        len: u8,
+    },
+    /// A borrowed run of any length (call arguments).
+    Borrowed(&'a [T]),
+}
+
+impl<T: Copy + Default> SmallList<'_, T> {
+    /// Holds `values` (at most two) inline.
+    fn inline(values: &[T]) -> Self {
+        let mut items = [T::default(); 2];
+        items[..values.len()].copy_from_slice(values);
+        SmallList::Inline {
+            items,
+            len: values.len() as u8,
+        }
+    }
+}
+
+impl<T> Deref for SmallList<'_, T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            SmallList::Inline { items, len } => &items[..*len as usize],
+            SmallList::Borrowed(values) => values,
+        }
+    }
+}
+
+/// The temps an instruction reads ([`InstKind::operands`]).
+pub type Operands<'a> = SmallList<'a, Temp>;
+
+/// A terminator's successor blocks ([`Terminator::successors`]).
+pub type Successors = SmallList<'static, BlockId>;
 
 /// One three-address operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -175,18 +220,20 @@ impl InstKind {
     }
 
     /// The temps this instruction reads, in evaluation (push) order.
-    pub fn operands(&self) -> Vec<Temp> {
+    pub fn operands(&self) -> Operands<'_> {
         match self {
             InstKind::Const { .. }
             | InstKind::FrameAddr { .. }
             | InstKind::GlobalAddr { .. }
-            | InstKind::StmtEnd { .. } => Vec::new(),
-            InstKind::Copy { src, .. } => vec![*src],
-            InstKind::Load { addr, .. } => vec![*addr],
-            InstKind::Store { addr, value, .. } => vec![*addr, *value],
-            InstKind::Binary { lhs, rhs, .. } => vec![*lhs, *rhs],
-            InstKind::Unary { src, .. } | InstKind::Cast { src, .. } => vec![*src],
-            InstKind::Call { args, .. } | InstKind::CallIntrinsic { args, .. } => args.clone(),
+            | InstKind::StmtEnd { .. } => SmallList::inline(&[]),
+            InstKind::Copy { src, .. } => SmallList::inline(&[*src]),
+            InstKind::Load { addr, .. } => SmallList::inline(&[*addr]),
+            InstKind::Store { addr, value, .. } => SmallList::inline(&[*addr, *value]),
+            InstKind::Binary { lhs, rhs, .. } => SmallList::inline(&[*lhs, *rhs]),
+            InstKind::Unary { src, .. } | InstKind::Cast { src, .. } => SmallList::inline(&[*src]),
+            InstKind::Call { args, .. } | InstKind::CallIntrinsic { args, .. } => {
+                SmallList::Borrowed(args)
+            }
         }
     }
 
@@ -257,15 +304,15 @@ impl Terminator {
     }
 
     /// Successor block ids, in emission order.
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub fn successors(&self) -> Successors {
         match self {
-            Terminator::Jump(t) => vec![*t],
+            Terminator::Jump(t) => SmallList::inline(&[*t]),
             Terminator::Branch {
                 if_zero,
                 fallthrough,
                 ..
-            } => vec![*fallthrough, *if_zero],
-            Terminator::Return { .. } | Terminator::Exit { .. } => Vec::new(),
+            } => SmallList::inline(&[*fallthrough, *if_zero]),
+            Terminator::Return { .. } | Terminator::Exit { .. } => SmallList::inline(&[]),
         }
     }
 
@@ -344,7 +391,7 @@ impl IrFunction {
         let mut uses = vec![0usize; self.temp_widths.len()];
         for block in &self.blocks {
             for inst in &block.insts {
-                for t in inst.kind.operands() {
+                for &t in inst.kind.operands().iter() {
                     uses[t as usize] += 1;
                 }
             }

@@ -269,7 +269,7 @@ impl<'a> Lowerer<'a> {
                 Ok(())
             }
             StmtKind::Assign { target, value } => {
-                let target_ty = target.ty().clone();
+                let target_ty = target.ty();
                 if !target_ty.is_integer() && !target_ty.is_pointer() {
                     return Err(LowerError::new(
                         "whole-struct assignment is not supported; assign fields individually",
@@ -280,7 +280,7 @@ impl<'a> Lowerer<'a> {
                 self.emit(InstKind::Store {
                     addr,
                     value,
-                    width: type_width(&target_ty),
+                    width: type_width(target_ty),
                 });
                 self.emit(InstKind::StmtEnd { stmt: stmt.id });
                 Ok(())
@@ -426,11 +426,11 @@ impl<'a> Lowerer<'a> {
     fn rvalue(&mut self, expr: &Expr) -> Result<Temp, LowerError> {
         let ty = expr
             .ty
-            .clone()
+            .as_ref()
             .ok_or_else(|| LowerError::new("expression without a type reached lowering"))?;
         match &expr.kind {
             ExprKind::Int(value) => {
-                let width = type_width(&ty);
+                let width = type_width(ty);
                 Ok(self.emit_const(width, *value))
             }
             ExprKind::Sizeof(target) => {
@@ -446,7 +446,7 @@ impl<'a> Lowerer<'a> {
                     )));
                 }
                 let addr = self.address(expr)?;
-                let width = type_width(&ty);
+                let width = type_width(ty);
                 let dst = self.temp(width);
                 self.emit(InstKind::Load { dst, addr, width });
                 Ok(dst)
@@ -457,8 +457,7 @@ impl<'a> Lowerer<'a> {
                 ty: target,
             } => {
                 let src = self.rvalue(inner)?;
-                let source = inner.ty().clone();
-                Ok(self.cast(src, &source, target))
+                Ok(self.cast(src, inner.ty(), target))
             }
             ExprKind::Unary { op, expr: inner } => {
                 let src = self.rvalue(inner)?;
@@ -726,11 +725,10 @@ impl<'a> Lowerer<'a> {
             }
             ExprKind::Deref(inner) => self.rvalue(inner),
             ExprKind::Field { base, field } => {
-                let base_ty = base.ty().clone();
-                let (base_addr, struct_name) = match &base_ty {
-                    Type::Struct(name) => (self.address(base)?, name.clone()),
+                let (base_addr, struct_name) = match base.ty() {
+                    Type::Struct(name) => (self.address(base)?, name),
                     Type::Ptr(inner) => match inner.as_ref() {
-                        Type::Struct(name) => (self.rvalue(base)?, name.clone()),
+                        Type::Struct(name) => (self.rvalue(base)?, name),
                         other => {
                             return Err(LowerError::new(format!(
                                 "field access through pointer to non-struct `{other}`"
@@ -744,7 +742,7 @@ impl<'a> Lowerer<'a> {
                     }
                 };
                 let layout =
-                    self.debug.structs.get(&struct_name).ok_or_else(|| {
+                    self.debug.structs.get(struct_name).ok_or_else(|| {
                         LowerError::new(format!("unknown struct `{struct_name}`"))
                     })?;
                 let field_layout = layout.field(field).ok_or_else(|| {
@@ -767,8 +765,7 @@ impl<'a> Lowerer<'a> {
             ExprKind::Index { base, index } => {
                 let base_addr = self.rvalue(base)?;
                 let index_temp = self.rvalue(index)?;
-                let index_ty = index.ty().clone();
-                let index_w64 = self.cast(index_temp, &index_ty, &Type::U64);
+                let index_w64 = self.cast(index_temp, index.ty(), &Type::U64);
                 let element_ty = base
                     .ty()
                     .pointee()

@@ -4,11 +4,19 @@
 //! Every pass is detector-preserving (see the crate docs for the exact
 //! rules) and deterministic: no pass iterates a hash map in an order that
 //! reaches the output.
+//!
+//! The per-block passes (folding, CSE, copy propagation) keep their facts in
+//! dense temp-indexed [`BlockTable`]s, allocated once per function and
+//! emptied at each block entry by bumping a stamp, so a block costs no
+//! allocation.  CSE's value-number table is the one hash map: it is cleared
+//! and reused across blocks, hashed by the in-crate [`VnHasher`] rather than
+//! SipHash, and only ever probed, never iterated.
 
 use crate::{Block, BlockId, InstKind, IrFunction, IrProgram, Temp, Terminator};
 use cp_symexpr::eval::eval_binop;
 use cp_symexpr::{BinOp, CastKind, UnOp, Width};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Runs the full pipeline over every function.
 pub fn optimize(mut program: IrProgram) -> IrProgram {
@@ -44,6 +52,40 @@ fn wraps(op: BinOp, width: Width, a: u64, b: u64) -> bool {
     }
 }
 
+/// A temp-indexed table whose contents last one basic block: an entry is
+/// live only while its stamp matches the table's, so [`BlockTable::clear`]
+/// empties it in O(1).
+struct BlockTable<V> {
+    entries: Vec<(u32, Option<V>)>,
+    stamp: u32,
+}
+
+impl<V: Copy> BlockTable<V> {
+    /// An empty table covering every temp of `function`.
+    fn new(function: &IrFunction) -> Self {
+        BlockTable {
+            entries: vec![(0, None); function.temp_widths.len()],
+            stamp: 1,
+        }
+    }
+
+    /// Forgets every entry (called at block entry).
+    fn clear(&mut self) {
+        self.stamp += 1;
+    }
+
+    fn get(&self, temp: Temp) -> Option<V> {
+        match self.entries[temp as usize] {
+            (stamp, value) if stamp == self.stamp => value,
+            _ => None,
+        }
+    }
+
+    fn insert(&mut self, temp: Temp, value: V) {
+        self.entries[temp as usize] = (self.stamp, Some(value));
+    }
+}
+
 /// Constant folding, per block.
 ///
 /// A temp is known constant only when its defining `Const` sits in the same
@@ -54,15 +96,16 @@ fn wraps(op: BinOp, width: Width, a: u64, b: u64) -> bool {
 /// instruction (the VM must trap).  A `Branch` whose condition folds becomes
 /// a `Jump` — constant conditions carry no taint, so no check site is lost.
 pub fn const_fold(function: &mut IrFunction) {
+    let mut env: BlockTable<(Width, u64)> = BlockTable::new(function);
     for block in &mut function.blocks {
-        let mut env: HashMap<Temp, (Width, u64)> = HashMap::new();
+        env.clear();
         for inst in &mut block.insts {
             match inst.kind {
                 InstKind::Const { dst, width, value } => {
                     env.insert(dst, (width, value));
                 }
                 InstKind::Copy { dst, src } => {
-                    if let Some(&known) = env.get(&src) {
+                    if let Some(known) = env.get(src) {
                         env.insert(dst, known);
                         inst.kind = InstKind::Const {
                             dst,
@@ -78,7 +121,7 @@ pub fn const_fold(function: &mut IrFunction) {
                     lhs,
                     rhs,
                 } => {
-                    let (Some(&(_, lv)), Some(&(_, rv))) = (env.get(&lhs), env.get(&rhs)) else {
+                    let (Some((_, lv)), Some((_, rv))) = (env.get(lhs), env.get(rhs)) else {
                         continue;
                     };
                     let a = width.truncate(lv);
@@ -105,7 +148,7 @@ pub fn const_fold(function: &mut IrFunction) {
                     width,
                     src,
                 } => {
-                    let Some(&(_, sv)) = env.get(&src) else {
+                    let Some((_, sv)) = env.get(src) else {
                         continue;
                     };
                     let a = width.truncate(sv);
@@ -128,7 +171,7 @@ pub fn const_fold(function: &mut IrFunction) {
                     to,
                     src,
                 } => {
-                    let Some(&(_, sv)) = env.get(&src) else {
+                    let Some((_, sv)) = env.get(src) else {
                         continue;
                     };
                     let a = from.truncate(sv);
@@ -153,7 +196,7 @@ pub fn const_fold(function: &mut IrFunction) {
             fallthrough,
         } = block.term
         {
-            if let Some(&(_, value)) = env.get(&cond) {
+            if let Some((_, value)) = env.get(cond) {
                 block.term = Terminator::Jump(if value == 0 { if_zero } else { fallthrough });
             }
         }
@@ -170,6 +213,40 @@ enum VnKey {
     Unary(UnOp, Width, Temp),
     Binary(BinOp, Width, Temp, Temp),
     Load(Width, Temp, u64),
+}
+
+/// A multiply-rotate hasher for [`VnKey`]s.  The value-number table is
+/// only probed, never iterated, so hash quality affects speed alone, and
+/// the keys are small integers an attacker never chooses.
+#[derive(Default)]
+struct VnHasher(u64);
+
+impl Hasher for VnHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u8(&mut self, value: u8) {
+        self.write_u64(u64::from(value));
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.write_u64(u64::from(value));
+    }
+
+    fn write_usize(&mut self, value: usize) {
+        self.write_u64(value as u64);
+    }
 }
 
 /// On a stack machine a shared subexpression must be spilled to a frame slot
@@ -189,21 +266,25 @@ const CSE_MIN_COST: usize = 5;
 ///   generation (no `Store` or `Call` between them).
 /// - Subtrees cheaper than [`CSE_MIN_COST`] are recomputed, not shared.
 pub fn local_cse(function: &mut IrFunction) {
+    // Cost of the value tree rooted at each temp, within the block.
+    let mut cost: BlockTable<usize> = BlockTable::new(function);
+    // dst of a replaced inst → the representative temp it copies.
+    let mut resolved: BlockTable<Temp> = BlockTable::new(function);
+    let largest_block = function.blocks.iter().map(|b| b.insts.len()).max();
+    let mut available: HashMap<VnKey, Temp, BuildHasherDefault<VnHasher>> =
+        HashMap::with_capacity_and_hasher(largest_block.unwrap_or(0), Default::default());
     for block in &mut function.blocks {
-        // Cost of the value tree rooted at each temp, within this block.
-        let mut cost: HashMap<Temp, usize> = HashMap::new();
-        let mut available: HashMap<VnKey, Temp> = HashMap::new();
-        // dst of a replaced inst → the representative temp it copies.
-        let mut resolved: HashMap<Temp, Temp> = HashMap::new();
-        let resolve =
-            |resolved: &HashMap<Temp, Temp>, t: Temp| -> Temp { *resolved.get(&t).unwrap_or(&t) };
+        cost.clear();
+        resolved.clear();
+        available.clear();
+        let resolve = |resolved: &BlockTable<Temp>, t: Temp| resolved.get(t).unwrap_or(t);
         let mut generation: u64 = 0;
         for inst in &mut block.insts {
             let operand_cost: usize = inst
                 .kind
                 .operands()
                 .iter()
-                .map(|t| cost.get(t).copied().unwrap_or(1))
+                .map(|&t| cost.get(t).unwrap_or(1))
                 .sum();
             let key = match inst.kind {
                 InstKind::FrameAddr { offset, .. } => Some(VnKey::Frame(offset)),
@@ -264,7 +345,7 @@ pub fn local_cse(function: &mut IrFunction) {
                     // than a spill/reload pair would.
                     resolved.insert(dst, rep);
                     if own_cost >= CSE_MIN_COST {
-                        cost.insert(dst, cost.get(&rep).copied().unwrap_or(1));
+                        cost.insert(dst, cost.get(rep).unwrap_or(1));
                         inst.kind = InstKind::Copy { dst, src: rep };
                     }
                 }
@@ -279,17 +360,18 @@ pub fn local_cse(function: &mut IrFunction) {
 /// Copy propagation: rewrites uses of `Copy` destinations to their sources,
 /// per block, leaving the (now dead) copies for DCE.
 pub fn copy_prop(function: &mut IrFunction) {
+    let mut forward: BlockTable<Temp> = BlockTable::new(function);
     for block in &mut function.blocks {
-        let mut forward: HashMap<Temp, Temp> = HashMap::new();
+        forward.clear();
         for inst in &mut block.insts {
-            inst.kind.map_operands(|t| *forward.get(&t).unwrap_or(&t));
+            inst.kind.map_operands(|t| forward.get(t).unwrap_or(t));
             if let InstKind::Copy { dst, src } = inst.kind {
                 // `src` was already rewritten, so chains collapse.
                 forward.insert(dst, src);
             }
         }
         if let Some(t) = block.term.operand() {
-            let resolved = *forward.get(&t).unwrap_or(&t);
+            let resolved = forward.get(t).unwrap_or(t);
             match &mut block.term {
                 Terminator::Branch { cond, .. } => *cond = resolved,
                 Terminator::Return { value: Some(v) } => *v = resolved,
@@ -337,7 +419,7 @@ pub fn dce(function: &mut IrFunction) {
                 let dead = matches!(inst.kind.dst(), Some(d) if uses[d as usize] == 0)
                     && removable(&inst.kind);
                 if dead {
-                    for t in inst.kind.operands() {
+                    for &t in inst.kind.operands().iter() {
                         uses[t as usize] -= 1;
                     }
                     changed = true;
@@ -398,7 +480,7 @@ pub fn jump_thread(function: &mut IrFunction) {
         if std::mem::replace(&mut reachable[id], true) {
             continue;
         }
-        stack.extend(function.blocks[id].term.successors());
+        stack.extend_from_slice(&function.blocks[id].term.successors());
     }
     let mut remap = vec![usize::MAX; function.blocks.len()];
     let mut kept = 0usize;
@@ -422,7 +504,7 @@ pub fn jump_thread(function: &mut IrFunction) {
     loop {
         let mut preds = vec![0usize; function.blocks.len()];
         for block in &function.blocks {
-            for succ in block.term.successors() {
+            for &succ in block.term.successors().iter() {
                 preds[succ] += 1;
             }
         }
@@ -457,7 +539,7 @@ pub fn jump_thread(function: &mut IrFunction) {
             if std::mem::replace(&mut reachable[b], true) {
                 continue;
             }
-            stack.extend(function.blocks[b].term.successors());
+            stack.extend_from_slice(&function.blocks[b].term.successors());
         }
         let mut remap = vec![usize::MAX; function.blocks.len()];
         let mut kept = 0usize;

@@ -211,6 +211,7 @@ impl<'a> Lexer<'a> {
             self.bump();
             radix = 16;
         }
+        let digits_start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_hexdigit() || c == b'_' {
                 self.bump();
@@ -218,19 +219,34 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
-        let text: String = self.source[start..self.pos]
-            .chars()
-            .filter(|c| *c != '_')
-            .collect();
-        let digits = if radix == 16 { &text[2..] } else { &text[..] };
-        u64::from_str_radix(digits, radix)
-            .map(TokenKind::Int)
-            .map_err(|_| {
-                LangError::new(
-                    format!("invalid integer literal `{text}`"),
-                    Span::new(start, self.pos, line, column),
-                )
-            })
+        // Accumulate in place, skipping `_` separators.  A literal with no
+        // digits, a digit outside the radix, or a value past `u64::MAX` is
+        // invalid.
+        let mut value = None;
+        for &c in &self.bytes[digits_start..self.pos] {
+            if c == b'_' {
+                continue;
+            }
+            value = (c as char).to_digit(radix).and_then(|digit| {
+                value
+                    .unwrap_or(0u64)
+                    .checked_mul(u64::from(radix))?
+                    .checked_add(u64::from(digit))
+            });
+            if value.is_none() {
+                break;
+            }
+        }
+        value.map(TokenKind::Int).ok_or_else(|| {
+            let text: String = self.source[start..self.pos]
+                .chars()
+                .filter(|c| *c != '_')
+                .collect();
+            LangError::new(
+                format!("invalid integer literal `{text}`"),
+                Span::new(start, self.pos, line, column),
+            )
+        })
     }
 
     fn peek(&self) -> Option<u8> {

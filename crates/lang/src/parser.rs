@@ -82,8 +82,8 @@ impl Parser {
     }
 
     fn parse_item(&mut self) -> Result<Item> {
-        let token = self.peek().clone();
-        match token.kind {
+        let token = self.peek();
+        match &token.kind {
             TokenKind::Struct => self.parse_struct().map(Item::Struct),
             TokenKind::Global => self.parse_global().map(Item::Global),
             TokenKind::Fn => self.parse_function().map(Item::Function),
@@ -173,7 +173,7 @@ impl Parser {
     }
 
     fn parse_type_inner(&mut self) -> Result<Type> {
-        let token = self.advance().clone();
+        let token = self.advance();
         match token.kind {
             TokenKind::Ptr => {
                 self.expect(TokenKind::Lt)?;
@@ -213,8 +213,7 @@ impl Parser {
     }
 
     fn parse_stmt_inner(&mut self) -> Result<Stmt> {
-        let token = self.peek().clone();
-        match token.kind {
+        match self.peek().kind {
             TokenKind::Var => self.parse_var_decl(),
             TokenKind::If => self.parse_if(),
             TokenKind::While => self.parse_while(),
@@ -471,20 +470,20 @@ impl Parser {
     }
 
     fn parse_unary_inner(&mut self) -> Result<Expr> {
-        let token = self.peek().clone();
-        let op = match token.kind {
+        let span = self.peek().span;
+        let op = match self.peek().kind {
             TokenKind::Minus => Some(UnaryOp::Neg),
             TokenKind::Tilde => Some(UnaryOp::Not),
             TokenKind::Bang => Some(UnaryOp::LogicalNot),
             TokenKind::Star => {
                 self.advance();
                 let inner = self.parse_unary()?;
-                return Ok(Expr::new(ExprKind::Deref(Box::new(inner)), token.span));
+                return Ok(Expr::new(ExprKind::Deref(Box::new(inner)), span));
             }
             TokenKind::Amp => {
                 self.advance();
                 let inner = self.parse_unary()?;
-                return Ok(Expr::new(ExprKind::AddrOf(Box::new(inner)), token.span));
+                return Ok(Expr::new(ExprKind::AddrOf(Box::new(inner)), span));
             }
             _ => None,
         };
@@ -496,7 +495,7 @@ impl Parser {
                     op,
                     expr: Box::new(inner),
                 },
-                token.span,
+                span,
             ));
         }
         self.parse_postfix()
@@ -533,7 +532,7 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
-        let token = self.advance().clone();
+        let token = self.advance();
         match token.kind {
             TokenKind::Int(value) => Ok(Expr::new(ExprKind::Int(value), token.span)),
             TokenKind::Sizeof => {
@@ -574,12 +573,20 @@ impl Parser {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn advance(&mut self) -> &Token {
-        let token = &self.tokens[self.pos.min(self.tokens.len() - 1)];
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// Consumes the current token and returns it.  The parser never looks
+    /// back, so the token's payload is moved out rather than cloned; the
+    /// final `Eof` is never consumed, so every later peek still sees it.
+    fn advance(&mut self) -> Token {
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
-        token
+        let token = &mut self.tokens[self.pos];
+        self.pos += 1;
+        Token {
+            kind: std::mem::replace(&mut token.kind, TokenKind::Eof),
+            span: token.span,
+        }
     }
 
     fn check(&self, kind: &TokenKind) -> bool {
@@ -597,7 +604,7 @@ impl Parser {
 
     fn expect(&mut self, kind: TokenKind) -> Result<Token> {
         if self.check(&kind) {
-            Ok(self.advance().clone())
+            Ok(self.advance())
         } else {
             let token = self.peek();
             Err(LangError::new(
@@ -612,7 +619,7 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String> {
-        let token = self.advance().clone();
+        let token = self.advance();
         match token.kind {
             TokenKind::Ident(name) => Ok(name),
             other => Err(LangError::new(
@@ -623,7 +630,7 @@ impl Parser {
     }
 
     fn expect_int(&mut self) -> Result<u64> {
-        let token = self.advance().clone();
+        let token = self.advance();
         match token.kind {
             TokenKind::Int(value) => Ok(value),
             other => Err(LangError::new(

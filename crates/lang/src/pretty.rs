@@ -15,53 +15,52 @@ pub fn print_program(program: &Program) -> String {
     for def in &program.structs {
         let _ = writeln!(out, "struct {} {{", def.name);
         for (name, ty) in &def.fields {
-            let _ = writeln!(out, "    {}: {},", name, print_type(ty));
+            let _ = write!(out, "    {name}: ");
+            write_type(ty, &mut out);
+            out.push_str(",\n");
         }
-        let _ = writeln!(out, "}}");
-        out.push('\n');
+        out.push_str("}\n\n");
     }
     for global in &program.globals {
-        let _ = writeln!(
-            out,
-            "global {}: {} = {};",
-            global.name,
-            print_type(&global.ty),
-            global.init
-        );
+        let _ = write!(out, "global {}: ", global.name);
+        write_type(&global.ty, &mut out);
+        let _ = writeln!(out, " = {};", global.init);
     }
     if !program.globals.is_empty() {
         out.push('\n');
     }
     for function in &program.functions {
-        out.push_str(&print_function(function));
+        write_function(function, &mut out);
         out.push('\n');
     }
     out
 }
 
-/// Renders a single function definition.
-pub fn print_function(function: &Function) -> String {
-    let mut out = String::new();
-    let params: Vec<String> = function
-        .params
-        .iter()
-        .map(|p| format!("{}: {}", p.name, print_type(&p.ty)))
-        .collect();
-    let ret = match &function.ret {
-        Some(ty) => format!(" -> {}", print_type(ty)),
-        None => String::new(),
-    };
-    let _ = writeln!(out, "fn {}({}){} {{", function.name, params.join(", "), ret);
-    for stmt in &function.body {
-        print_stmt(stmt, 1, &mut out);
+/// Writes a single function definition.
+fn write_function(function: &Function, out: &mut String) {
+    let _ = write!(out, "fn {}(", function.name);
+    for (i, param) in function.params.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{}: ", param.name);
+        write_type(&param.ty, out);
     }
-    let _ = writeln!(out, "}}");
-    out
+    out.push(')');
+    if let Some(ty) = &function.ret {
+        out.push_str(" -> ");
+        write_type(ty, out);
+    }
+    out.push_str(" {\n");
+    for stmt in &function.body {
+        print_stmt(stmt, 1, out);
+    }
+    out.push_str("}\n");
 }
 
-/// Renders a type.
-pub fn print_type(ty: &Type) -> String {
-    ty.to_string()
+/// Writes a type.
+fn write_type(ty: &Type, out: &mut String) {
+    let _ = write!(out, "{ty}");
 }
 
 fn indent(level: usize, out: &mut String) {
@@ -70,137 +69,185 @@ fn indent(level: usize, out: &mut String) {
     }
 }
 
+/// Writes a statement block's body one level deeper, then its closing brace.
+fn write_body(stmts: &[Stmt], level: usize, out: &mut String) {
+    for inner in stmts {
+        print_stmt(inner, level + 1, out);
+    }
+    indent(level, out);
+    out.push('}');
+}
+
 /// Renders one statement at the given indentation level.
 pub fn print_stmt(stmt: &Stmt, level: usize, out: &mut String) {
     indent(level, out);
     match &stmt.kind {
-        StmtKind::VarDecl { name, ty, init } => match init {
-            Some(init) => {
-                let _ = writeln!(
-                    out,
-                    "var {}: {} = {};",
-                    name,
-                    print_type(ty),
-                    print_expr(init)
-                );
+        StmtKind::VarDecl { name, ty, init } => {
+            let _ = write!(out, "var {name}: ");
+            write_type(ty, out);
+            if let Some(init) = init {
+                out.push_str(" = ");
+                write_expr(init, out);
             }
-            None => {
-                let _ = writeln!(out, "var {}: {};", name, print_type(ty));
-            }
-        },
+            out.push(';');
+        }
         StmtKind::Assign { target, value } => {
-            let _ = writeln!(out, "{} = {};", print_expr(target), print_expr(value));
+            write_expr(target, out);
+            out.push_str(" = ");
+            write_expr(value, out);
+            out.push(';');
         }
         StmtKind::If {
             cond,
             then_block,
             else_block,
         } => {
-            let _ = writeln!(out, "if ({}) {{", print_expr(cond));
-            for inner in then_block {
-                print_stmt(inner, level + 1, out);
-            }
-            indent(level, out);
-            match else_block {
-                Some(else_block) => {
-                    let _ = writeln!(out, "}} else {{");
-                    for inner in else_block {
-                        print_stmt(inner, level + 1, out);
-                    }
-                    indent(level, out);
-                    let _ = writeln!(out, "}}");
-                }
-                None => {
-                    let _ = writeln!(out, "}}");
-                }
+            out.push_str("if (");
+            write_expr(cond, out);
+            out.push_str(") {\n");
+            write_body(then_block, level, out);
+            if let Some(else_block) = else_block {
+                out.push_str(" else {\n");
+                write_body(else_block, level, out);
             }
         }
         StmtKind::While { cond, body } => {
-            let _ = writeln!(out, "while ({}) {{", print_expr(cond));
-            for inner in body {
-                print_stmt(inner, level + 1, out);
-            }
-            indent(level, out);
-            let _ = writeln!(out, "}}");
+            out.push_str("while (");
+            write_expr(cond, out);
+            out.push_str(") {\n");
+            write_body(body, level, out);
         }
-        StmtKind::Return(value) => match value {
-            Some(value) => {
-                let _ = writeln!(out, "return {};", print_expr(value));
+        StmtKind::Return(value) => {
+            out.push_str("return");
+            if let Some(value) = value {
+                out.push(' ');
+                write_expr(value, out);
             }
-            None => {
-                let _ = writeln!(out, "return;");
-            }
-        },
+            out.push(';');
+        }
         StmtKind::Exit(code) => {
-            let _ = writeln!(out, "exit({});", print_expr(code));
+            out.push_str("exit(");
+            write_expr(code, out);
+            out.push_str(");");
         }
         StmtKind::Expr(expr) => {
-            let _ = writeln!(out, "{};", print_expr(expr));
+            write_expr(expr, out);
+            out.push(';');
         }
     }
+    out.push('\n');
 }
 
 /// Renders an expression.  Sub-expressions are parenthesised conservatively so
 /// the output re-parses with the same structure.
 pub fn print_expr(expr: &Expr) -> String {
+    let mut out = String::new();
+    write_expr(expr, &mut out);
+    out
+}
+
+/// Writes an expression (see [`print_expr`]).
+fn write_expr(expr: &Expr, out: &mut String) {
     match &expr.kind {
-        ExprKind::Int(value) => value.to_string(),
-        ExprKind::Var(name) => name.clone(),
+        ExprKind::Int(value) => {
+            let _ = write!(out, "{value}");
+        }
+        ExprKind::Var(name) => out.push_str(name),
         ExprKind::Unary { op, expr } => {
-            let token = match op {
-                UnaryOp::Neg => "-",
-                UnaryOp::Not => "~",
-                UnaryOp::LogicalNot => "!",
-            };
-            format!("{token}({})", print_expr(expr))
+            out.push_str(match op {
+                UnaryOp::Neg => "-(",
+                UnaryOp::Not => "~(",
+                UnaryOp::LogicalNot => "!(",
+            });
+            write_expr(expr, out);
+            out.push(')');
         }
         ExprKind::Binary { op, lhs, rhs } => {
             let token = match op {
-                BinaryOp::Add => "+",
-                BinaryOp::Sub => "-",
-                BinaryOp::Mul => "*",
-                BinaryOp::Div => "/",
-                BinaryOp::Rem => "%",
-                BinaryOp::And => "&",
-                BinaryOp::Or => "|",
-                BinaryOp::Xor => "^",
-                BinaryOp::Shl => "<<",
-                BinaryOp::Shr => ">>",
-                BinaryOp::Eq => "==",
-                BinaryOp::Ne => "!=",
-                BinaryOp::Lt => "<",
-                BinaryOp::Le => "<=",
-                BinaryOp::Gt => ">",
-                BinaryOp::Ge => ">=",
-                BinaryOp::LogicalAnd => "&&",
-                BinaryOp::LogicalOr => "||",
+                BinaryOp::Add => " + ",
+                BinaryOp::Sub => " - ",
+                BinaryOp::Mul => " * ",
+                BinaryOp::Div => " / ",
+                BinaryOp::Rem => " % ",
+                BinaryOp::And => " & ",
+                BinaryOp::Or => " | ",
+                BinaryOp::Xor => " ^ ",
+                BinaryOp::Shl => " << ",
+                BinaryOp::Shr => " >> ",
+                BinaryOp::Eq => " == ",
+                BinaryOp::Ne => " != ",
+                BinaryOp::Lt => " < ",
+                BinaryOp::Le => " <= ",
+                BinaryOp::Gt => " > ",
+                BinaryOp::Ge => " >= ",
+                BinaryOp::LogicalAnd => " && ",
+                BinaryOp::LogicalOr => " || ",
             };
-            format!("({} {} {})", print_expr(lhs), token, print_expr(rhs))
+            out.push('(');
+            write_expr(lhs, out);
+            out.push_str(token);
+            write_expr(rhs, out);
+            out.push(')');
         }
-        ExprKind::Cast { expr, ty } => format!("({} as {})", print_expr(expr), print_type(ty)),
+        ExprKind::Cast { expr, ty } => {
+            out.push('(');
+            write_expr(expr, out);
+            out.push_str(" as ");
+            write_type(ty, out);
+            out.push(')');
+        }
         ExprKind::Call { name, args } => {
-            let args: Vec<String> = args.iter().map(print_expr).collect();
-            format!("{name}({})", args.join(", "))
+            out.push_str(name);
+            out.push('(');
+            for (i, arg) in args.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_expr(arg, out);
+            }
+            out.push(')');
         }
-        ExprKind::Field { base, field } => format!("{}.{}", print_base(base), field),
+        ExprKind::Field { base, field } => {
+            write_base(base, out);
+            out.push('.');
+            out.push_str(field);
+        }
         ExprKind::Index { base, index } => {
-            format!("{}[{}]", print_base(base), print_expr(index))
+            write_base(base, out);
+            out.push('[');
+            write_expr(index, out);
+            out.push(']');
         }
-        ExprKind::Deref(inner) => format!("*({})", print_expr(inner)),
-        ExprKind::AddrOf(inner) => format!("&{}", print_base(inner)),
-        ExprKind::Sizeof(ty) => format!("sizeof({})", print_type(ty)),
+        ExprKind::Deref(inner) => {
+            out.push_str("*(");
+            write_expr(inner, out);
+            out.push(')');
+        }
+        ExprKind::AddrOf(inner) => {
+            out.push('&');
+            write_base(inner, out);
+        }
+        ExprKind::Sizeof(ty) => {
+            out.push_str("sizeof(");
+            write_type(ty, out);
+            out.push(')');
+        }
     }
 }
 
 /// Bases of postfix expressions only need parentheses when they are not
 /// themselves postfix or primary expressions.
-fn print_base(expr: &Expr) -> String {
+fn write_base(expr: &Expr, out: &mut String) {
     match &expr.kind {
         ExprKind::Var(_)
         | ExprKind::Field { .. }
         | ExprKind::Index { .. }
-        | ExprKind::Call { .. } => print_expr(expr),
-        _ => format!("({})", print_expr(expr)),
+        | ExprKind::Call { .. } => write_expr(expr, out),
+        _ => {
+            out.push('(');
+            write_expr(expr, out);
+            out.push(')');
+        }
     }
 }
 
