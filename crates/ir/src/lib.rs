@@ -102,27 +102,27 @@ impl Intrinsic {
 /// A short run of values that never allocates: up to two held inline, or
 /// a borrowed slice.  Derefs to `[T]`.
 #[derive(Debug, Clone, Copy)]
-pub enum SmallList<'a, T> {
-    /// The first `len` of `items`.
-    Inline {
-        /// Storage; entries past `len` are padding.
-        items: [T; 2],
-        /// How many of `items` are live.
-        len: u8,
-    },
+pub struct SmallList<'a, T>(SmallRepr<'a, T>);
+
+#[derive(Debug, Clone, Copy)]
+enum SmallRepr<'a, T> {
+    /// The first `len` (at most two) of the array; the rest is padding.
+    Inline([T; 2], u8),
     /// A borrowed run of any length (call arguments).
     Borrowed(&'a [T]),
 }
 
-impl<T: Copy + Default> SmallList<'_, T> {
+impl<'a, T: Copy + Default> SmallList<'a, T> {
     /// Holds `values` (at most two) inline.
     fn inline(values: &[T]) -> Self {
         let mut items = [T::default(); 2];
         items[..values.len()].copy_from_slice(values);
-        SmallList::Inline {
-            items,
-            len: values.len() as u8,
-        }
+        SmallList(SmallRepr::Inline(items, values.len() as u8))
+    }
+
+    /// Borrows `values`.
+    fn borrowed(values: &'a [T]) -> Self {
+        SmallList(SmallRepr::Borrowed(values))
     }
 }
 
@@ -130,9 +130,9 @@ impl<T> Deref for SmallList<'_, T> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
-        match self {
-            SmallList::Inline { items, len } => &items[..*len as usize],
-            SmallList::Borrowed(values) => values,
+        match &self.0 {
+            SmallRepr::Inline(items, len) => &items[..*len as usize],
+            SmallRepr::Borrowed(values) => values,
         }
     }
 }
@@ -232,7 +232,7 @@ impl InstKind {
             InstKind::Binary { lhs, rhs, .. } => SmallList::inline(&[*lhs, *rhs]),
             InstKind::Unary { src, .. } | InstKind::Cast { src, .. } => SmallList::inline(&[*src]),
             InstKind::Call { args, .. } | InstKind::CallIntrinsic { args, .. } => {
-                SmallList::Borrowed(args)
+                SmallList::borrowed(args)
             }
         }
     }
