@@ -6,8 +6,7 @@
 //! reports — the round trip `parse ∘ print` is checked by tests.
 
 use crate::ast::*;
-use crate::types::Type;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// Renders a whole program as source text.
 pub fn print_program(program: &Program) -> String {
@@ -15,16 +14,16 @@ pub fn print_program(program: &Program) -> String {
     for def in &program.structs {
         let _ = writeln!(out, "struct {} {{", def.name);
         for (name, ty) in &def.fields {
-            let _ = write!(out, "    {name}: ");
-            write_type(ty, &mut out);
-            out.push_str(",\n");
+            let _ = writeln!(out, "    {name}: {ty},");
         }
         out.push_str("}\n\n");
     }
     for global in &program.globals {
-        let _ = write!(out, "global {}: ", global.name);
-        write_type(&global.ty, &mut out);
-        let _ = writeln!(out, " = {};", global.init);
+        let _ = writeln!(
+            out,
+            "global {}: {} = {};",
+            global.name, global.ty, global.init
+        );
     }
     if !program.globals.is_empty() {
         out.push('\n');
@@ -40,16 +39,12 @@ pub fn print_program(program: &Program) -> String {
 fn write_function(function: &Function, out: &mut String) {
     let _ = write!(out, "fn {}(", function.name);
     for (i, param) in function.params.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{}: ", param.name);
-        write_type(&param.ty, out);
+        let separator = if i > 0 { ", " } else { "" };
+        let _ = write!(out, "{separator}{}: {}", param.name, param.ty);
     }
     out.push(')');
     if let Some(ty) = &function.ret {
-        out.push_str(" -> ");
-        write_type(ty, out);
+        let _ = write!(out, " -> {ty}");
     }
     out.push_str(" {\n");
     for stmt in &function.body {
@@ -58,18 +53,13 @@ fn write_function(function: &Function, out: &mut String) {
     out.push_str("}\n");
 }
 
-/// Writes a type.
-fn write_type(ty: &Type, out: &mut String) {
-    let _ = write!(out, "{ty}");
-}
-
 fn indent(level: usize, out: &mut String) {
     for _ in 0..level {
         out.push_str("    ");
     }
 }
 
-/// Writes a statement block's body one level deeper, then its closing brace.
+/// Writes a block's statements one level deeper, then its closing brace.
 fn write_body(stmts: &[Stmt], level: usize, out: &mut String) {
     for inner in stmts {
         print_stmt(inner, level + 1, out);
@@ -81,172 +71,116 @@ fn write_body(stmts: &[Stmt], level: usize, out: &mut String) {
 /// Renders one statement at the given indentation level.
 pub fn print_stmt(stmt: &Stmt, level: usize, out: &mut String) {
     indent(level, out);
-    match &stmt.kind {
-        StmtKind::VarDecl { name, ty, init } => {
-            let _ = write!(out, "var {name}: ");
-            write_type(ty, out);
-            if let Some(init) = init {
-                out.push_str(" = ");
-                write_expr(init, out);
-            }
-            out.push(';');
-        }
+    let _ = match &stmt.kind {
+        StmtKind::VarDecl { name, ty, init } => match init {
+            Some(init) => write!(out, "var {name}: {ty} = {};", Source(init)),
+            None => write!(out, "var {name}: {ty};"),
+        },
         StmtKind::Assign { target, value } => {
-            write_expr(target, out);
-            out.push_str(" = ");
-            write_expr(value, out);
-            out.push(';');
+            write!(out, "{} = {};", Source(target), Source(value))
         }
         StmtKind::If {
             cond,
             then_block,
             else_block,
         } => {
-            out.push_str("if (");
-            write_expr(cond, out);
-            out.push_str(") {\n");
+            let _ = writeln!(out, "if ({}) {{", Source(cond));
             write_body(then_block, level, out);
             if let Some(else_block) = else_block {
                 out.push_str(" else {\n");
                 write_body(else_block, level, out);
             }
+            Ok(())
         }
         StmtKind::While { cond, body } => {
-            out.push_str("while (");
-            write_expr(cond, out);
-            out.push_str(") {\n");
+            let _ = writeln!(out, "while ({}) {{", Source(cond));
             write_body(body, level, out);
+            Ok(())
         }
-        StmtKind::Return(value) => {
-            out.push_str("return");
-            if let Some(value) = value {
-                out.push(' ');
-                write_expr(value, out);
-            }
-            out.push(';');
-        }
-        StmtKind::Exit(code) => {
-            out.push_str("exit(");
-            write_expr(code, out);
-            out.push_str(");");
-        }
-        StmtKind::Expr(expr) => {
-            write_expr(expr, out);
-            out.push(';');
-        }
-    }
+        StmtKind::Return(Some(value)) => write!(out, "return {};", Source(value)),
+        StmtKind::Return(None) => write!(out, "return;"),
+        StmtKind::Exit(code) => write!(out, "exit({});", Source(code)),
+        StmtKind::Expr(expr) => write!(out, "{};", Source(expr)),
+    };
     out.push('\n');
 }
 
 /// Renders an expression.  Sub-expressions are parenthesised conservatively so
 /// the output re-parses with the same structure.
 pub fn print_expr(expr: &Expr) -> String {
-    let mut out = String::new();
-    write_expr(expr, &mut out);
-    out
+    Source(expr).to_string()
 }
 
-/// Writes an expression (see [`print_expr`]).
-fn write_expr(expr: &Expr, out: &mut String) {
-    match &expr.kind {
-        ExprKind::Int(value) => {
-            let _ = write!(out, "{value}");
-        }
-        ExprKind::Var(name) => out.push_str(name),
-        ExprKind::Unary { op, expr } => {
-            out.push_str(match op {
-                UnaryOp::Neg => "-(",
-                UnaryOp::Not => "~(",
-                UnaryOp::LogicalNot => "!(",
-            });
-            write_expr(expr, out);
-            out.push(')');
-        }
-        ExprKind::Binary { op, lhs, rhs } => {
-            let token = match op {
-                BinaryOp::Add => " + ",
-                BinaryOp::Sub => " - ",
-                BinaryOp::Mul => " * ",
-                BinaryOp::Div => " / ",
-                BinaryOp::Rem => " % ",
-                BinaryOp::And => " & ",
-                BinaryOp::Or => " | ",
-                BinaryOp::Xor => " ^ ",
-                BinaryOp::Shl => " << ",
-                BinaryOp::Shr => " >> ",
-                BinaryOp::Eq => " == ",
-                BinaryOp::Ne => " != ",
-                BinaryOp::Lt => " < ",
-                BinaryOp::Le => " <= ",
-                BinaryOp::Gt => " > ",
-                BinaryOp::Ge => " >= ",
-                BinaryOp::LogicalAnd => " && ",
-                BinaryOp::LogicalOr => " || ",
-            };
-            out.push('(');
-            write_expr(lhs, out);
-            out.push_str(token);
-            write_expr(rhs, out);
-            out.push(')');
-        }
-        ExprKind::Cast { expr, ty } => {
-            out.push('(');
-            write_expr(expr, out);
-            out.push_str(" as ");
-            write_type(ty, out);
-            out.push(')');
-        }
-        ExprKind::Call { name, args } => {
-            out.push_str(name);
-            out.push('(');
-            for (i, arg) in args.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_expr(arg, out);
+/// An expression's source text, formatted straight into the caller's buffer
+/// (see [`print_expr`]).
+struct Source<'a>(&'a Expr);
+
+impl fmt::Display for Source<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0.kind {
+            ExprKind::Int(value) => write!(f, "{value}"),
+            ExprKind::Var(name) => f.write_str(name),
+            ExprKind::Unary { op, expr } => {
+                let token = match op {
+                    UnaryOp::Neg => "-",
+                    UnaryOp::Not => "~",
+                    UnaryOp::LogicalNot => "!",
+                };
+                write!(f, "{token}({})", Source(expr))
             }
-            out.push(')');
-        }
-        ExprKind::Field { base, field } => {
-            write_base(base, out);
-            out.push('.');
-            out.push_str(field);
-        }
-        ExprKind::Index { base, index } => {
-            write_base(base, out);
-            out.push('[');
-            write_expr(index, out);
-            out.push(']');
-        }
-        ExprKind::Deref(inner) => {
-            out.push_str("*(");
-            write_expr(inner, out);
-            out.push(')');
-        }
-        ExprKind::AddrOf(inner) => {
-            out.push('&');
-            write_base(inner, out);
-        }
-        ExprKind::Sizeof(ty) => {
-            out.push_str("sizeof(");
-            write_type(ty, out);
-            out.push(')');
+            ExprKind::Binary { op, lhs, rhs } => {
+                let token = match op {
+                    BinaryOp::Add => "+",
+                    BinaryOp::Sub => "-",
+                    BinaryOp::Mul => "*",
+                    BinaryOp::Div => "/",
+                    BinaryOp::Rem => "%",
+                    BinaryOp::And => "&",
+                    BinaryOp::Or => "|",
+                    BinaryOp::Xor => "^",
+                    BinaryOp::Shl => "<<",
+                    BinaryOp::Shr => ">>",
+                    BinaryOp::Eq => "==",
+                    BinaryOp::Ne => "!=",
+                    BinaryOp::Lt => "<",
+                    BinaryOp::Le => "<=",
+                    BinaryOp::Gt => ">",
+                    BinaryOp::Ge => ">=",
+                    BinaryOp::LogicalAnd => "&&",
+                    BinaryOp::LogicalOr => "||",
+                };
+                write!(f, "({} {token} {})", Source(lhs), Source(rhs))
+            }
+            ExprKind::Cast { expr, ty } => write!(f, "({} as {ty})", Source(expr)),
+            ExprKind::Call { name, args } => {
+                write!(f, "{name}(")?;
+                for (i, arg) in args.iter().enumerate() {
+                    let separator = if i > 0 { ", " } else { "" };
+                    write!(f, "{separator}{}", Source(arg))?;
+                }
+                f.write_str(")")
+            }
+            ExprKind::Field { base, field } => write!(f, "{}.{field}", Base(base)),
+            ExprKind::Index { base, index } => write!(f, "{}[{}]", Base(base), Source(index)),
+            ExprKind::Deref(inner) => write!(f, "*({})", Source(inner)),
+            ExprKind::AddrOf(inner) => write!(f, "&{}", Base(inner)),
+            ExprKind::Sizeof(ty) => write!(f, "sizeof({ty})"),
         }
     }
 }
 
-/// Bases of postfix expressions only need parentheses when they are not
-/// themselves postfix or primary expressions.
-fn write_base(expr: &Expr, out: &mut String) {
-    match &expr.kind {
-        ExprKind::Var(_)
-        | ExprKind::Field { .. }
-        | ExprKind::Index { .. }
-        | ExprKind::Call { .. } => write_expr(expr, out),
-        _ => {
-            out.push('(');
-            write_expr(expr, out);
-            out.push(')');
+/// The base of a postfix expression: parenthesised unless it is itself a
+/// postfix or primary expression.
+struct Base<'a>(&'a Expr);
+
+impl fmt::Display for Base<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0.kind {
+            ExprKind::Var(_)
+            | ExprKind::Field { .. }
+            | ExprKind::Index { .. }
+            | ExprKind::Call { .. } => write!(f, "{}", Source(self.0)),
+            _ => write!(f, "({})", Source(self.0)),
         }
     }
 }
