@@ -177,14 +177,13 @@ impl<'a> Emitter<'a> {
     ) -> Self {
         // Spill slots live past the source frame, 8 bytes each, assigned in
         // ascending temp order so layout is deterministic.
-        let base = function.frame_size.div_ceil(8) * 8;
-        let mut next = base;
+        let mut frame_size = function.frame_size.div_ceil(8) * 8;
         let slots: Vec<Option<usize>> = spilled
             .iter()
             .map(|&spill| {
                 spill.then(|| {
-                    next += 8;
-                    next - 8
+                    frame_size += 8;
+                    frame_size - 8
                 })
             })
             .collect();
@@ -195,7 +194,7 @@ impl<'a> Emitter<'a> {
             f: function,
             opt,
             slots,
-            frame_size: next,
+            frame_size,
             code: Vec::with_capacity(capacity),
             stmt_map: Vec::with_capacity(capacity),
             current_stmt: None,

@@ -137,12 +137,6 @@ impl<T> Deref for SmallList<'_, T> {
     }
 }
 
-/// The temps an instruction reads ([`InstKind::operands`]).
-pub type Operands<'a> = SmallList<'a, Temp>;
-
-/// A terminator's successor blocks ([`Terminator::successors`]).
-pub type Successors = SmallList<'static, BlockId>;
-
 /// One three-address operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InstKind {
@@ -220,7 +214,7 @@ impl InstKind {
     }
 
     /// The temps this instruction reads, in evaluation (push) order.
-    pub fn operands(&self) -> Operands<'_> {
+    pub fn operands(&self) -> SmallList<'_, Temp> {
         match self {
             InstKind::Const { .. }
             | InstKind::FrameAddr { .. }
@@ -304,7 +298,7 @@ impl Terminator {
     }
 
     /// Successor block ids, in emission order.
-    pub fn successors(&self) -> Successors {
+    pub fn successors(&self) -> SmallList<'static, BlockId> {
         match self {
             Terminator::Jump(t) => SmallList::inline(&[*t]),
             Terminator::Branch {

@@ -236,10 +236,6 @@ impl Hasher for VnHasher {
         self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 
-    fn write_u8(&mut self, value: u8) {
-        self.write_u64(u64::from(value));
-    }
-
     fn write_u32(&mut self, value: u32) {
         self.write_u64(u64::from(value));
     }
