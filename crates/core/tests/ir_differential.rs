@@ -5,7 +5,9 @@
 //! same detector verdict on every input.  Program counters inside error
 //! payloads legitimately differ between backends (the instruction streams
 //! are different), so faults are compared as verdicts — error class plus
-//! backend-independent payload — rather than bit-for-bit.
+//! backend-independent payload — rather than bit-for-bit.  The optimized
+//! build must also never be worse than -O0: no more emitted instructions,
+//! and no more executed steps on any input.
 //!
 //! The corpus is the deterministic random-program generator shared with the
 //! pretty-printer round-trip test: well-typed scalar programs with loops,
@@ -72,12 +74,25 @@ fn ir_backends_agree_with_the_direct_compiler() {
         )
         .expect("IR -O2 compiles");
 
+        // Optimizing never pessimizes: -O2 emits no more code than -O0 ...
+        let code_len = |program: &CompiledProgram| -> usize {
+            program.functions.iter().map(|f| f.code.len()).sum()
+        };
+        assert!(
+            code_len(&opt) <= code_len(&unopt),
+            "seed {seed}: ir-opt emitted {} instructions, ir-noopt {}\n{source}",
+            code_len(&opt),
+            code_len(&unopt)
+        );
+
         let backends: [(&str, &CompiledProgram); 3] =
             [("direct", &direct), ("ir-noopt", &unopt), ("ir-opt", &opt)];
         for input in &inputs {
             let reference = run(&direct, input, &config);
+            let mut steps = Vec::with_capacity(2);
             for (name, program) in &backends[1..] {
                 let result = run(program, input, &config);
+                steps.push(result.steps);
                 assert_eq!(
                     result.outputs, reference.outputs,
                     "seed {seed}: {name} outputs diverged on {input:?}\n{source}"
@@ -88,6 +103,13 @@ fn ir_backends_agree_with_the_direct_compiler() {
                     "seed {seed}: {name} verdict diverged on {input:?}\n{source}"
                 );
             }
+            // ... and executes no more steps.
+            assert!(
+                steps[1] <= steps[0],
+                "seed {seed}: ir-opt ran {} steps, ir-noopt {} on {input:?}\n{source}",
+                steps[1],
+                steps[0]
+            );
         }
     }
 }
