@@ -1,8 +1,8 @@
 //! IR → bytecode emission.
 //!
 //! The default compilation pipeline: lower the analyzed AST into the `cp-ir`
-//! CFG, optionally run the optimization passes, then *stackify* each basic
-//! block into the stack-machine instruction stream.
+//! CFG, optionally thread its jumps ([`cp_ir::optimize`]), then *stackify*
+//! each basic block into the stack-machine instruction stream.
 //!
 //! # Stackification
 //!
@@ -365,7 +365,7 @@ impl<'a> Emitter<'a> {
                     intrinsic: lower_intrinsic(*intrinsic),
                 });
             }
-            InstKind::Copy { .. } | InstKind::Store { .. } | InstKind::StmtEnd { .. } => {
+            InstKind::Store { .. } | InstKind::StmtEnd { .. } => {
                 unreachable!("handled by emit_inst")
             }
         }
@@ -409,29 +409,15 @@ impl<'a> Emitter<'a> {
             for &t in ops.iter() {
                 self.reload(t);
             }
-            match kind {
-                InstKind::Copy { .. } => {} // the reloaded source is the value
-                _ => self.emit_op(kind),
-            }
+            self.emit_op(kind);
             self.emit(Instr::Store {
                 width: self.f.width(dst),
             });
             return Ok(());
         }
         // Unspilled destination: the value lives on the operand stack.
-        if let InstKind::Copy { src, .. } = kind {
-            // A copy is a rename when its source is on top of the stack.
-            if self.model.last() == Some(src) {
-                self.model.pop();
-            } else if self.slot(*src).is_some() {
-                self.reload(*src);
-            } else {
-                return Err(NeedSpill(vec![*src]));
-            }
-        } else {
-            self.materialize(&ops)?;
-            self.emit_op(kind);
-        }
+        self.materialize(&ops)?;
+        self.emit_op(kind);
         if self.use_counts[dst as usize] == 0 {
             self.emit(Instr::Pop);
         } else {
@@ -524,16 +510,35 @@ mod tests {
         (direct, via_ir)
     }
 
+    /// The value a straight-line function of constants and binary
+    /// operators returns, or `None` if it does anything else.
+    fn returned_constant(function: &CompiledFunction) -> Option<u64> {
+        let mut stack = Vec::new();
+        for instr in &function.code {
+            match *instr {
+                Instr::PushConst { value, .. } => stack.push(value),
+                Instr::Binary { op, width } => {
+                    let rhs = stack.pop()?;
+                    let lhs = stack.pop()?;
+                    stack.push(cp_symexpr::eval::eval_binop(op, width, lhs, rhs));
+                }
+                Instr::StmtEnd { .. } => {}
+                Instr::Return { has_value: true } => return stack.pop(),
+                _ => return None,
+            }
+        }
+        None
+    }
+
     #[test]
     fn ir_path_compiles_simple_programs() {
-        let (_, program) = both("fn main() -> u32 { return 6 * 7; }");
-        let main = &program.functions[program.main];
-        // 6 * 7 folds to a single constant on the optimized path.
-        assert!(main
-            .code
-            .iter()
-            .any(|i| matches!(i, Instr::PushConst { value: 42, .. })));
-        assert!(!main.code.iter().any(|i| matches!(i, Instr::Binary { .. })));
+        let (direct, via_ir) = both("fn main() -> u32 { return 6 * 7; }");
+        let direct_value = returned_constant(&direct.functions[direct.main]);
+        assert_eq!(direct_value, Some(42));
+        assert_eq!(
+            returned_constant(&via_ir.functions[via_ir.main]),
+            direct_value
+        );
     }
 
     #[test]

@@ -1,33 +1,23 @@
 //! A CFG-based three-address mid-level IR for Phage-C.
 //!
 //! `cp-bytecode` used to lower the AST straight to a linear instruction
-//! stream; this crate inserts a mid-level stage between the two: [`lower`]
-//! turns an analyzed program into a control-flow graph of basic blocks over
-//! virtual registers ("temps"), [`optimize`] runs a pipeline of classic
-//! passes over the CFG, and the bytecode backend emits a stack-machine
-//! instruction stream from the optimized graph.
+//! stream; this crate inserts a mid-level stage between the two:
+//! [`lower()`] turns an analyzed program into a control-flow graph of basic
+//! blocks over virtual registers ("temps"), [`optimize`] threads jumps
+//! through the CFG, and the bytecode backend emits a stack-machine
+//! instruction stream from the resulting graph.
 //!
 //! # Detector preservation
 //!
 //! The error detectors — sticky per-value overflow, out-of-bounds access,
-//! divide-by-zero — are the product, so every pass must preserve them
-//! exactly.  The rules the passes obey:
-//!
-//! - Constant folding never folds an `Add`/`Sub`/`Mul` whose concrete result
-//!   wraps (the VM would have set the sticky overflow flag), and never folds
-//!   a `Div`/`Rem` whose divisor is zero (the VM would have trapped).
-//! - CSE never merges `Add`/`Sub`/`Mul`/`Div`/`Rem` at all, and only merges
-//!   a `Load` with an earlier identical one when no store or call intervenes
-//!   (same address, same memory generation ⇒ same value, same overflow
-//!   flag, same taint shadow).
-//! - Dead-code elimination may delete a *provably dead* wrapping op — a
-//!   per-value overflow flag on a value nothing reads can never reach an
-//!   allocation — but never deletes a `Div`/`Rem` (divide-by-zero traps even
-//!   when the quotient is unused) or a `Load` (out-of-bounds traps even when
-//!   the loaded value is unused).
-//! - Jump threading only retargets unconditional jumps and folds branches
-//!   whose condition is a compile-time constant; a branch on a runtime value
-//!   is a potential check site and is never removed.
+//! divide-by-zero — are the product, so the optimizer must preserve them
+//! exactly.  Jump threading rewrites control flow only: it retargets
+//! unconditional jumps, merges a block into its only jump predecessor,
+//! drops unreachable blocks and turns a branch whose two arms coincide
+//! into a jump.  It never adds, removes or reorders an instruction on a
+//! path that can execute, and a branch with two distinct targets is a
+//! potential check site that always survives, even when its condition is
+//! a constant.
 
 pub mod lower;
 pub mod opt;
@@ -41,10 +31,10 @@ use std::ops::Deref;
 /// How much optimization to run between lowering and emission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptLevel {
-    /// Skip every IR pass and emit the CFG literally (every terminator
+    /// Skip the optimizer and emit the CFG literally (every terminator
     /// becomes an explicit jump, like a `-O0` build).
     None,
-    /// Run the full pass pipeline and elide fall-through jumps at emission.
+    /// Thread jumps (see [`opt`]) and elide fall-through jumps at emission.
     #[default]
     Full,
 }
@@ -142,13 +132,11 @@ impl<T> Deref for SmallList<'_, T> {
 pub enum InstKind {
     /// `dst = value` (already truncated to `width`).
     Const { dst: Temp, width: Width, value: u64 },
-    /// `dst = src` — introduced by CSE, removed by copy propagation + DCE.
-    Copy { dst: Temp, src: Temp },
     /// `dst = &frame[offset]` (a 64-bit address).
     FrameAddr { dst: Temp, offset: usize },
     /// `dst = &globals[offset]`.
     GlobalAddr { dst: Temp, offset: usize },
-    /// `dst = *(addr)` at `width`.  May trap out-of-bounds: never dead-coded.
+    /// `dst = *(addr)` at `width`.  May trap out-of-bounds.
     Load { dst: Temp, addr: Temp, width: Width },
     /// `*(addr) = value` at `width`.
     Store {
@@ -201,7 +189,6 @@ impl InstKind {
     pub fn dst(&self) -> Option<Temp> {
         match self {
             InstKind::Const { dst, .. }
-            | InstKind::Copy { dst, .. }
             | InstKind::FrameAddr { dst, .. }
             | InstKind::GlobalAddr { dst, .. }
             | InstKind::Load { dst, .. }
@@ -220,39 +207,12 @@ impl InstKind {
             | InstKind::FrameAddr { .. }
             | InstKind::GlobalAddr { .. }
             | InstKind::StmtEnd { .. } => SmallList::inline(&[]),
-            InstKind::Copy { src, .. } => SmallList::inline(&[*src]),
             InstKind::Load { addr, .. } => SmallList::inline(&[*addr]),
             InstKind::Store { addr, value, .. } => SmallList::inline(&[*addr, *value]),
             InstKind::Binary { lhs, rhs, .. } => SmallList::inline(&[*lhs, *rhs]),
             InstKind::Unary { src, .. } | InstKind::Cast { src, .. } => SmallList::inline(&[*src]),
             InstKind::Call { args, .. } | InstKind::CallIntrinsic { args, .. } => {
                 SmallList::borrowed(args)
-            }
-        }
-    }
-
-    /// Rewrites every operand through `f` (used by copy propagation).
-    pub fn map_operands(&mut self, mut f: impl FnMut(Temp) -> Temp) {
-        match self {
-            InstKind::Const { .. }
-            | InstKind::FrameAddr { .. }
-            | InstKind::GlobalAddr { .. }
-            | InstKind::StmtEnd { .. } => {}
-            InstKind::Copy { src, .. } => *src = f(*src),
-            InstKind::Load { addr, .. } => *addr = f(*addr),
-            InstKind::Store { addr, value, .. } => {
-                *addr = f(*addr);
-                *value = f(*value);
-            }
-            InstKind::Binary { lhs, rhs, .. } => {
-                *lhs = f(*lhs);
-                *rhs = f(*rhs);
-            }
-            InstKind::Unary { src, .. } | InstKind::Cast { src, .. } => *src = f(*src),
-            InstKind::Call { args, .. } | InstKind::CallIntrinsic { args, .. } => {
-                for arg in args {
-                    *arg = f(*arg);
-                }
             }
         }
     }
