@@ -44,7 +44,7 @@ pub mod budget;
 pub mod error;
 pub mod faults;
 
-use cp_bytecode::{compile_with_opts, CompileError, CompileOpts, CompiledProgram};
+use cp_bytecode::{compile, CompileError, CompiledProgram};
 use cp_formats::FormatDescriptor;
 use cp_lang::{frontend, AnalyzedProgram, LangError};
 use cp_patch::Observation;
@@ -63,7 +63,6 @@ use std::fmt;
 use std::sync::OnceLock;
 
 pub use budget::{BudgetExhausted, Budgets, Stage};
-pub use cp_bytecode::OptLevel;
 pub use cp_diode::{
     DiscoverConfig, DiscoverOutcome, DiscoverReport, Discovery, PathConstraint, TargetSite,
 };
@@ -370,7 +369,6 @@ pub struct SessionBuilder {
     config: RunConfig,
     budgets: Option<Budgets>,
     strip: bool,
-    opt_level: Option<OptLevel>,
     observers: Vec<Box<dyn Observer + Send>>,
 }
 
@@ -432,15 +430,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the IR optimization level for source builds (default
-    /// [`OptLevel::Full`]).  The `CP_IR_OPT=0` environment variable
-    /// overrides whatever is configured here, as an escape hatch for
-    /// bisecting optimizer-suspected misbehavior without touching code.
-    pub fn opt_level(mut self, opt: OptLevel) -> Self {
-        self.opt_level = Some(opt);
-        self
-    }
-
     /// Registers an additional observer that receives every execution event
     /// alongside the session's own trace recorder.  Observers are `Send` so
     /// a fully configured [`Session`] can move to a worker thread.
@@ -459,12 +448,8 @@ impl SessionBuilder {
         let (program, analyzed) = match (self.program, self.source) {
             (Some(program), _) => (program, None),
             (None, Some(source)) => {
-                let opt = match std::env::var("CP_IR_OPT") {
-                    Ok(v) if v == "0" => OptLevel::None,
-                    _ => self.opt_level.unwrap_or_default(),
-                };
                 let analyzed = frontend(&source)?;
-                let program = compile_with_opts(&analyzed, &CompileOpts { opt })?;
+                let program = compile(&analyzed)?;
                 (program, Some(analyzed))
             }
             (None, None) => return Err(PipelineError::MissingProgram),
