@@ -16,7 +16,7 @@
 //! Since the introduction of the `cp-ir` mid-level IR, the default
 //! [`compile`] entry point lowers through the optimizing CFG pipeline (see
 //! [`emit`]); the original single-pass backend survives as
-//! [`compile_direct`](compiler::compile_direct), the reference the
+//! [`compile_direct`], the reference the
 //! differential tests compare against.
 
 pub mod compiler;

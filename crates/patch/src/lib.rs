@@ -14,7 +14,7 @@
 //! * [`lower`] — **guard lowering**: render the condition as Phage-C source
 //!   over the chosen variables with width-correct unsigned casts and
 //!   signedness-correct operand casts, mirroring `cp_symexpr::eval` exactly;
-//! * [`validate`] — **validation**: apply the patch, recompile through the
+//! * [`validate`](mod@validate) — **validation**: apply the patch, recompile through the
 //!   pretty-printer → front-end path, require the donor-error input to
 //!   terminate cleanly with no detector firing and every benign corpus
 //!   input to behave byte-identically to the unpatched program;

@@ -10,14 +10,14 @@
 //! The pipeline is deliberately dependency-free and sized for the ≤64-bit,
 //! small-support expressions this corpus produces:
 //!
-//! * **AIG construction** ([`Blaster`]) — every expression node becomes a
+//! * **AIG construction** (`Blaster`) — every expression node becomes a
 //!   vector of and-inverter literals, least-significant bit first, with
 //!   structural hashing.  Because `cp-symexpr` hash-conses expressions, two
 //!   structurally similar operands share gates, and the common case of a
 //!   simplifier-rewritten expression against its original collapses the miter
 //!   to constant false before any SAT search happens.
 //! * **Tseitin CNF** of every gate, encoded once as the graph grows.
-//! * **CDCL** ([`Cdcl`]) — two-watched-literal unit propagation, first-UIP
+//! * **CDCL** (`Cdcl`) — two-watched-literal unit propagation, first-UIP
 //!   clause learning with non-chronological backjumping, VSIDS-style
 //!   activities and phase saving, budgeted by a conflict limit so
 //!   pathological miters (e.g. wide multiplier equivalences) abandon to
@@ -30,7 +30,7 @@
 //! divider miters can exceed the gate budget, in which case the solver's
 //! ladder still falls back to exhaustive enumeration.
 //!
-//! The [`Cdcl`] core is *incremental*: clauses can be added between
+//! The `Cdcl` core is *incremental*: clauses can be added between
 //! `solve_under_assumptions` calls, which keep the learned-clause database
 //! and VSIDS activities alive across queries and return an unsat core over
 //! the assumption literals on failure.  [`crate::incremental`] owns the one

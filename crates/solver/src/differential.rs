@@ -5,11 +5,11 @@
 //! soundness bug.  This module cross-checks them the way the PR 2 arena
 //! tests cross-check metadata: a seeded xorshift generator builds random
 //! expression pairs (the offline environment has no `proptest`), the
-//! [`Solver`](crate::Solver) decides each pair, and every verdict is audited
+//! [`Solver`] decides each pair, and every verdict is audited
 //! against ground truth:
 //!
 //! * `Proved` pairs are re-sampled with an independent, larger-budget
-//!   [`SampleSolver`](crate::SampleSolver) stream — a single refutation of a
+//!   [`SampleSolver`] stream — a single refutation of a
 //!   "proof" is a disagreement;
 //! * `Refuted` witnesses are re-evaluated — a witness on which the two
 //!   expressions agree is a disagreement;
@@ -239,7 +239,7 @@ const SESSION_SPAN: u64 = 64;
 
 /// Cross-checks `pairs` seeded expression pairs against the *incremental*
 /// path: queries run on a shared [`EquivSession`] (rolled every
-/// [`SESSION_SPAN`] pairs), so verdicts are produced against a reused
+/// `SESSION_SPAN` pairs), so verdicts are produced against a reused
 /// AIG/CNF/learned-clause context exactly as translation produces them.
 ///
 /// Same generator streams and audits as [`cross_check`]: any unsound
