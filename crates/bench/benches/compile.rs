@@ -5,7 +5,7 @@
 //! `Session::build` and every patch-validation recompile.  This bench times
 //! the three configurations over the corpus scenarios plus a loop-heavy
 //! checksum program, and records what the optimizer buys as counters:
-//! emitted instruction counts with passes on and off.
+//! emitted instruction counts with the optimizer on and off.
 
 use cp_bench::harness::{bench, emit_with, section};
 use cp_bytecode::{compile_direct, compile_with_opts, CompileOpts, OptLevel};
