@@ -12,14 +12,9 @@ use crate::{Block, BlockId, IrFunction, IrProgram, Terminator};
 /// Runs the optimizer over every function.
 pub fn optimize(mut program: IrProgram) -> IrProgram {
     for function in &mut program.functions {
-        optimize_function(function);
+        jump_thread(function);
     }
     program
-}
-
-/// Runs the optimizer over one function.
-pub fn optimize_function(function: &mut IrFunction) {
-    jump_thread(function);
 }
 
 /// Jump threading and CFG cleanup:
@@ -245,10 +240,16 @@ mod tests {
             fallthrough: taken,
         });
         let entry = b.function.blocks[0].insts.clone();
-        optimize_function(&mut b.function);
-        assert_eq!(b.function.blocks[0].insts, entry);
+        let program = optimize(IrProgram {
+            functions: vec![b.function],
+            main: 0,
+            globals_size: 0,
+            global_inits: Vec::new(),
+        });
+        let function = &program.functions[0];
+        assert_eq!(function.blocks[0].insts, entry);
         assert_eq!(
-            b.function.blocks[0].term,
+            function.blocks[0].term,
             Terminator::Branch {
                 cond: one,
                 if_zero: skipped,
