@@ -207,55 +207,124 @@ mod tests {
         }
     }
 
-    #[test]
-    fn optimize_rewrites_control_flow_only() {
-        // What the detectors observe: an overflowing `Mul` computed twice,
-        // a `DivU` by constant zero, a load nothing reads, and a branch on a
-        // constant condition.  Every one of them must survive.
-        let mut b = Builder::new();
-        let big = b.konst(Width::W32, 0x1_0000);
-        let m1 = b.binary(BinOp::Mul, Width::W32, big, big);
-        b.output(m1);
-        let m2 = b.binary(BinOp::Mul, Width::W32, big, big);
-        b.output(m2);
-        let zero = b.konst(Width::W32, 0);
-        b.binary(BinOp::DivU, Width::W32, big, zero);
-        let addr = b.temp(Width::W64);
-        b.push(InstKind::FrameAddr {
-            dst: addr,
-            offset: 0,
-        });
-        let unread = b.temp(Width::W32);
-        b.push(InstKind::Load {
-            dst: unread,
-            addr,
-            width: Width::W32,
-        });
-        let one = b.konst(Width::W8, 1);
-        let taken = b.block();
-        let skipped = b.block();
-        b.terminate(Terminator::Branch {
-            cond: one,
-            if_zero: skipped,
-            fallthrough: taken,
-        });
-        let entry = b.function.blocks[0].insts.clone();
+    /// Runs the whole optimizer over the single function `b` has built.
+    fn optimized(b: Builder) -> IrFunction {
         let program = optimize(IrProgram {
             functions: vec![b.function],
             main: 0,
             globals_size: 0,
             global_inits: Vec::new(),
         });
-        let function = &program.functions[0];
+        program.functions.into_iter().next().unwrap()
+    }
+
+    fn count(function: &IrFunction, pred: impl Fn(&InstKind) -> bool) -> usize {
+        function
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .filter(|i| pred(&i.kind))
+            .count()
+    }
+
+    // The optimizer has no constant folder, CSE or DCE any more.  The tests
+    // below pin that every instruction a detector can observe still reaches
+    // the emitter, and that a branch on a constant stays a branch.
+
+    #[test]
+    fn const_fold_refuses_wrapping_mul_and_zero_divisor() {
+        let mut b = Builder::new();
+        // 0x1_0000 * 0x1_0000 wraps at 32 bits: the VM would set the sticky
+        // overflow flag, so the instruction must survive.
+        let big = b.konst(Width::W32, 0x1_0000);
+        let wrapped = b.binary(BinOp::Mul, Width::W32, big, big);
+        b.output(wrapped);
+        // 5 / 0 traps: the instruction must survive.
+        let five = b.konst(Width::W32, 5);
+        let zero = b.konst(Width::W32, 0);
+        let quot = b.binary(BinOp::DivU, Width::W32, five, zero);
+        b.output(quot);
+        let entry = b.function.blocks[0].insts.clone();
+        let function = optimized(b);
+        assert_eq!(
+            count(&function, |k| matches!(k, InstKind::Binary { .. })),
+            2
+        );
         assert_eq!(function.blocks[0].insts, entry);
+    }
+
+    #[test]
+    fn optimize_leaves_a_constant_branch_in_place() {
+        let mut b = Builder::new();
+        let c = b.konst(Width::W8, 1);
+        let t1 = b.block();
+        let t2 = b.block();
+        b.terminate(Terminator::Branch {
+            cond: c,
+            if_zero: t2,
+            fallthrough: t1,
+        });
+        let function = optimized(b);
         assert_eq!(
             function.blocks[0].term,
             Terminator::Branch {
-                cond: one,
-                if_zero: skipped,
-                fallthrough: taken,
+                cond: c,
+                if_zero: t2,
+                fallthrough: t1,
             }
         );
+    }
+
+    #[test]
+    fn cse_refuses_overflowing_mul_even_within_a_block() {
+        let mut b = Builder::new();
+        let addr = b.temp(Width::W64);
+        b.push(InstKind::FrameAddr {
+            dst: addr,
+            offset: 0,
+        });
+        let x = b.temp(Width::W32);
+        b.push(InstKind::Load {
+            dst: x,
+            addr,
+            width: Width::W32,
+        });
+        // Each Mul may overflow and set the sticky flag: both must run.
+        let m1 = b.binary(BinOp::Mul, Width::W32, x, x);
+        b.output(m1);
+        let m2 = b.binary(BinOp::Mul, Width::W32, x, x);
+        b.output(m2);
+        let function = optimized(b);
+        assert_eq!(
+            count(&function, |k| matches!(
+                k,
+                InstKind::Binary { op: BinOp::Mul, .. }
+            )),
+            2
+        );
+    }
+
+    #[test]
+    fn optimize_keeps_unread_mul_div_and_load() {
+        let mut b = Builder::new();
+        let addr = b.temp(Width::W64);
+        b.push(InstKind::FrameAddr {
+            dst: addr,
+            offset: 0,
+        });
+        let x = b.temp(Width::W32);
+        b.push(InstKind::Load {
+            dst: x,
+            addr,
+            width: Width::W32,
+        });
+        // Nothing reads these results, and there is no DCE to drop them.
+        b.binary(BinOp::Mul, Width::W32, x, x);
+        b.binary(BinOp::DivU, Width::W32, x, x);
+        let entry = b.function.blocks[0].insts.clone();
+        let function = optimized(b);
+        assert_eq!(function.blocks[0].insts, entry);
+        assert_eq!(count(&function, |k| matches!(k, InstKind::Load { .. })), 1);
     }
 
     #[test]
